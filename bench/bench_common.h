@@ -184,23 +184,10 @@ inline void configure_attack_parallelism(AttackEvalConfig& config,
   }
 }
 
-/// Scoring-path label for the A/B comparison rows: ADVTEXT_BENCH_SCORING=
-/// "seed" selects the original per-candidate evaluator loops, anything
-/// else (default) the batched one-gemm-per-layer path. Both produce
-/// bitwise-identical attack results; only the wall clock differs.
-inline const char* scoring_mode() {
-  const char* env = std::getenv("ADVTEXT_BENCH_SCORING");
-  return env != nullptr && std::string(env) == "seed" ? "seed" : "batched";
-}
-
-/// Applies the scoring-path knobs to an attack config: flips the global
-/// sequential-scoring switch from ADVTEXT_BENCH_SCORING and sizes the
-/// per-worker query cache from ADVTEXT_BENCH_QUERY_CACHE_MB (default 32
-/// on the batched path, 0 — fully seed-equivalent — on the seed path).
+/// Sizes the per-worker query cache of an attack config from
+/// ADVTEXT_BENCH_QUERY_CACHE_MB (default 32; 0 disables the cache).
 inline void configure_scoring(AttackEvalConfig& config) {
-  const bool seed_path = std::string(scoring_mode()) == "seed";
-  set_sequential_scoring(seed_path);
-  std::size_t cache_mb = seed_path ? 0 : 32;
+  std::size_t cache_mb = 32;
   if (const char* env = std::getenv("ADVTEXT_BENCH_QUERY_CACHE_MB")) {
     cache_mb = static_cast<std::size_t>(std::strtoul(env, nullptr, 10));
   }
@@ -267,23 +254,18 @@ struct BenchJsonRecord {
   double wall_seconds = 0.0;      ///< whole-sweep wall clock
   double seconds_per_doc = 0.0;   ///< mean per attacked doc
   double success_rate = 0.0;
-  /// Query-cache totals of the sweep (zeros with the cache disabled) and
-  /// the scoring path the row was measured on ("batched" or "seed").
+  /// Query-cache totals of the sweep (zeros with the cache disabled).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t queries_saved = 0;
-  std::string scoring = "batched";
 };
 
-/// Copies a sweep's cache counters and the active scoring-path label into
-/// a JSON row (every attack-sweep row should carry them so the batched
-/// and seed measurements are distinguishable inside one artifact).
+/// Copies a sweep's cache counters into a JSON row.
 inline void fill_scoring_stats(BenchJsonRecord& record,
                                const AttackEvalResult& result) {
   record.cache_hits = result.cache_hits;
   record.cache_misses = result.cache_misses;
   record.queries_saved = result.queries_saved;
-  record.scoring = scoring_mode();
 }
 
 /// Appends `record` as one JSON object per line to the path named by
@@ -291,7 +273,10 @@ inline void fill_scoring_stats(BenchJsonRecord& record,
 /// suite accumulates its runs into one file; hardware_threads is stamped
 /// into every record because speedup numbers are meaningless without the
 /// core count they were measured on. Write failures warn and continue — a
-/// lost metrics line must never fail a bench run.
+/// lost metrics line must never fail a bench run. Every row is scored by
+/// the batched evaluators; the constant "scoring" column keeps new rows
+/// distinguishable from the per-candidate ("seed") rows earlier runs left
+/// in BENCH_attack_sweep.json.
 inline void append_bench_json(const BenchJsonRecord& record) {
   const char* env = std::getenv("ADVTEXT_BENCH_JSON");
   if (env == nullptr || *env == '\0') return;
@@ -307,13 +292,13 @@ inline void append_bench_json(const BenchJsonRecord& record) {
       "{\"bench\":\"%s\",\"config\":\"%s\",\"threads\":%zu,\"shards\":%zu,"
       "\"docs\":%zu,\"wall_seconds\":%.6f,\"seconds_per_doc\":%.6f,"
       "\"success_rate\":%.4f,\"cache_hits\":%zu,\"cache_misses\":%zu,"
-      "\"queries_saved\":%zu,\"scoring\":\"%s\","
+      "\"queries_saved\":%zu,\"scoring\":\"batched\","
       "\"hardware_threads\":%zu}\n",
       record.bench.c_str(), record.config.c_str(), record.threads,
       record.shards, record.docs, finite(record.wall_seconds),
       finite(record.seconds_per_doc), finite(record.success_rate),
       record.cache_hits, record.cache_misses, record.queries_saved,
-      record.scoring.c_str(), hardware_threads());
+      hardware_threads());
   std::fclose(out);
 }
 

@@ -179,8 +179,7 @@ constexpr PaperCell kPaperCells[] = {
 int main() {
   const std::size_t docs = docs_per_config(30);
   // This bench drives the word attacks directly (no AttackEvalConfig), so
-  // only the scoring-path switch applies; there is no query cache here.
-  set_sequential_scoring(std::string(scoring_mode()) == "seed");
+  // there is no query cache here.
   // Two blocks: the paper runs this comparison with 5% MC dropout at
   // inference (§6.4). On our scaled substrate that noise level swamps the
   // per-swap gains of *every* function-evaluation attack (the paper's
@@ -218,7 +217,6 @@ int main() {
           row.cache_hits = stats.cache_hits;
           row.cache_misses = stats.cache_misses;
           row.queries_saved = stats.cache_hits;
-          row.scoring = scoring_mode();
           append_bench_json(row);
           const PaperCell* paper = nullptr;
           for (const PaperCell& cell : kPaperCells) {

@@ -126,7 +126,10 @@ WordAttackResult gradient_attack(const TextClassifier& model,
   }
   result.final_target_proba =
       model.class_probability(result.adv_tokens, target);
+  // The verification forward is computed, never cached: one query, one
+  // miss, so hits + misses == queries as for every other word method.
   ++result.queries;
+  ++result.cache_misses;
   control.charge(1);
   // Every charge here is explicit (gradient calls + the verification
   // forward above); record them so callers can reconcile the budget.

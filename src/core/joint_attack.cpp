@@ -169,6 +169,7 @@ JointAttackResult joint_attack(const TextClassifier& model,
     result.final_target_proba =
         model.class_probability(result.adv_doc.flatten(), target);
     ++result.queries;
+    ++result.cache_misses;
     control.charge(1);  // the verification eval draws on the shared budget
     ++result.budget_charged;
   }

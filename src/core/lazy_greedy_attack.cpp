@@ -12,7 +12,8 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
                                     const TokenSeq& tokens,
                                     const WordCandidates& candidates,
                                     std::size_t target,
-                                    const LazyGreedyAttackConfig& config) {
+                                    const LazyGreedyAttackConfig& config,
+                                    const AttackControl& control) {
   Stopwatch watch;
   WordAttackResult result;
   result.adv_tokens = tokens;
@@ -21,9 +22,13 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
       std::ceil(config.max_replace_fraction * static_cast<double>(n)));
 
   auto evaluator = model.make_swap_evaluator(result.adv_tokens);
+  evaluator->bind_control(&control);
   double current = model.class_probability(result.adv_tokens, target);
+  control.charge(1);
   std::vector<bool> replaced(n, false);
 
+  bool out_of_time = false;
+  bool out_of_budget = false;
   struct Entry {
     double gain;        // last-known gain (upper bound under submodularity)
     std::size_t pos;
@@ -45,7 +50,9 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
     }
   }
   Matrix scores;
-  for (std::size_t off = 0; off < initial.size(); off += kScoreChunkRows) {
+  for (std::size_t off = 0;
+       off < initial.size() && !out_of_time && !out_of_budget;
+       off += kScoreChunkRows) {
     const std::size_t len = std::min(kScoreChunkRows, initial.size() - off);
     const BatchStatus status =
         evaluator->eval_swap_batch(initial.data() + off, len, scores);
@@ -53,10 +60,13 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
       const double gain = scores(i, target) - current;
       heap.push({gain, initial[off + i].pos, initial[off + i].word, 0});
     }
+    out_of_time = status.out_of_time;
+    out_of_budget = status.out_of_budget;
   }
 
   std::size_t round = 0;
-  while (current < config.success_threshold &&
+  while (!out_of_time && !out_of_budget &&
+         current < config.success_threshold &&
          count_changes(tokens, result.adv_tokens) < budget && !heap.empty()) {
     ++round;
     ++result.iterations;
@@ -74,6 +84,10 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
         }
         break;
       }
+      // A limit hit abandons the round before the refresh query, keeping
+      // the last committed document.
+      if ((out_of_time = control.deadline.expired())) break;
+      if ((out_of_budget = control.budget_exhausted())) break;
       top.gain = evaluator->eval_swap(top.pos, top.word)[target] - current;
       top.round = round;
       if (heap.empty() || top.gain >= heap.top().gain) {
@@ -92,13 +106,26 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
     current = evaluator->eval_tokens(result.adv_tokens)[target];
   }
 
+  if (out_of_time) {
+    result.termination = TerminationReason::kDeadlineExceeded;
+  } else if (out_of_budget) {
+    result.termination = TerminationReason::kBudgetExhausted;
+  }
   result.queries = evaluator->queries();
   result.cache_hits = evaluator->cache_hits();
   result.cache_misses = evaluator->cache_misses();
   result.budget_charged = evaluator->budget_charged();
+  ADVTEXT_DCHECK(result.queries == result.cache_hits + result.cache_misses)
+      << "lazy_greedy: query accounting drift (" << result.queries
+      << " != " << result.cache_hits << " + " << result.cache_misses << ")";
   result.final_target_proba =
       model.class_probability(result.adv_tokens, target);
+  control.charge(1);
+  // The initial anchor and final verification forwards charge the budget
+  // directly (charge() no-ops without one, so mirror that here).
+  if (control.budget != nullptr) result.budget_charged += 2;
   result.success = result.final_target_proba >= config.success_threshold;
+  if (result.success) result.termination = TerminationReason::kSucceeded;
   result.words_changed = count_changes(tokens, result.adv_tokens);
   result.seconds = watch.elapsed_seconds();
   return result;

@@ -23,10 +23,16 @@ struct LazyGreedyAttackConfig {
   double min_gain = 1e-6;
 };
 
+/// Honours `control` like objective_greedy_attack: the evaluator shell
+/// polls the deadline per candidate, charges the budget once per cache
+/// miss and serves repeats from the bound cache; the heap refreshes poll
+/// both limits before every query. A limit hit keeps the last committed
+/// document and sets `termination`.
 WordAttackResult lazy_greedy_attack(const TextClassifier& model,
                                     const TokenSeq& tokens,
                                     const WordCandidates& candidates,
                                     std::size_t target,
-                                    const LazyGreedyAttackConfig& config = {});
+                                    const LazyGreedyAttackConfig& config = {},
+                                    const AttackControl& control = {});
 
 }  // namespace advtext

@@ -131,22 +131,8 @@ class BowSwapEvaluator : public SwapEvaluator {
     }
   }
 
-  Vector do_eval_swap(std::size_t pos, WordId candidate) override {
-    Vector logits = logits_;
-    for (std::size_t c = 0; c < weights_.rows(); ++c) {
-      logits[c] += weights_(c, static_cast<std::size_t>(candidate)) -
-                   weights_(c, static_cast<std::size_t>(base_tokens_.at(pos)));
-    }
-    return softmax(logits);
-  }
-
-  Vector do_eval_tokens(const TokenSeq& tokens) override {
-    return model_.predict_proba(tokens);
-  }
-
-  // A count model's swap is already O(num_classes); there is no gemm to
-  // win, so the batched hook just reuses one logits scratch across rows
-  // instead of allocating a Vector per candidate.
+  // A count model's swap is already O(num_classes): the logits update
+  // incrementally from the cached base logits, with no gemm to win.
   void do_eval_swap_batch(const SwapCandidate* candidates,
                           const std::size_t* rows, std::size_t count,
                           Matrix& out) override {
@@ -161,6 +147,15 @@ class BowSwapEvaluator : public SwapEvaluator {
                              base_tokens_.at(candidates[m].pos))));
       }
       softmax_inplace(logits, classes);
+    }
+  }
+
+  void do_eval_tokens_batch(const TokenSeq* const* docs,
+                            const std::size_t* rows, std::size_t count,
+                            Matrix& out) override {
+    for (std::size_t m = 0; m < count; ++m) {
+      const Vector proba = model_.predict_proba(*docs[m]);
+      std::copy(proba.begin(), proba.end(), out.row(rows[m]));
     }
   }
 

@@ -5,9 +5,103 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/nn/recurrent_swap_evaluator.h"
 #include "src/tensor/ops.h"
 
 namespace advtext {
+
+/// The GRU's Cell for RecurrentSwapEvaluator (contract in
+/// recurrent_swap_evaluator.h). State rows are h.
+struct GruCell {
+  using Model = GruClassifier;
+
+  explicit GruCell(const GruClassifier& model)
+      : model_(model), hidden_(model.config_.hidden) {
+    // Weights are frozen while an evaluator lives; packing once saves the
+    // per-call tile repack of the recurrent gemms.
+    const float* uh = model.uh_.data();
+    gemm_pack_b(model.wx_.data(), 3 * hidden_, model.config_.embed_dim, wx_);
+    gemm_pack_b(uh, 2 * hidden_, hidden_, uh_zr_);
+    gemm_pack_b(uh + 2 * hidden_ * hidden_, hidden_, hidden_, uh_cand_);
+  }
+
+  std::size_t gate_width() const { return 3 * hidden_; }
+  std::size_t state_width() const { return hidden_; }
+
+  void input_gates(const float* x, std::size_t m, float* zx) const {
+    gemm_nt_packed(x, m, wx_, zx);
+  }
+
+  void step(const float* const* zx, std::size_t m, float* h) {
+    if (azr_.rows() < m) {
+      azr_ = Matrix(m, 2 * hidden_);
+      z_ = Matrix(m, hidden_);
+      rn_ = Matrix(m, hidden_);
+      acand_ = Matrix(m, hidden_);
+    }
+    gemm_nt_packed(h, m, uh_zr_, azr_.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      gates(zx[j], azr_.row(j), h + j * hidden_, z_.row(j), rn_.row(j));
+    }
+    gemm_nt_packed(rn_.data(), m, uh_cand_, acand_.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      combine(zx[j], acand_.row(j), z_.row(j), h + j * hidden_);
+    }
+  }
+
+  void head(const float* h, std::size_t m, float* proba) const {
+    const std::size_t classes = model_.config_.num_classes;
+    gemm_nt(h, m, model_.out_w_.data(), classes, hidden_, proba);
+    for (std::size_t i = 0; i < m; ++i) {
+      float* row = proba + i * classes;
+      for (std::size_t c = 0; c < classes; ++c) row[c] += model_.out_b_[c];
+      softmax_inplace(row, classes);
+    }
+  }
+
+ private:
+  static constexpr std::size_t kMaxHidden = 256;
+
+  // The elementwise halves of one step for one row, in contiguous passes
+  // so they vectorize. Per element the expression order is
+  // forward_traced's, so the result is bit-identical to it.
+
+  /// Writes the update gate into z and the reset-gated state r∘h into rn.
+  void gates(const float* zx, const float* azr, const float* h, float* z,
+             float* rn) const {
+    const std::size_t hidden = hidden_;
+    ADVTEXT_CHECK_SHAPE(hidden <= kMaxHidden)
+        << "GruCell: hidden exceeds scratch bound";
+    const float* b = model_.b_.data();
+    float s[2 * kMaxHidden];
+    for (std::size_t r = 0; r < 2 * hidden; ++r) s[r] = zx[r] + azr[r] + b[r];
+    for (std::size_t r = 0; r < 2 * hidden; ++r) s[r] = sigmoid(s[r]);
+    for (std::size_t j = 0; j < hidden; ++j) {
+      z[j] = s[j];
+      rn[j] = s[hidden + j] * h[j];
+    }
+  }
+
+  /// Folds the candidate state into h in place.
+  void combine(const float* zx, const float* acand, const float* z,
+               float* h) const {
+    const std::size_t hidden = hidden_;
+    const float* b = model_.b_.data() + 2 * hidden;
+    float cand[kMaxHidden];
+    for (std::size_t j = 0; j < hidden; ++j) {
+      cand[j] = zx[2 * hidden + j] + acand[j] + b[j];
+    }
+    for (std::size_t j = 0; j < hidden; ++j) cand[j] = tanh_act(cand[j]);
+    for (std::size_t j = 0; j < hidden; ++j) {
+      h[j] = (1.0f - z[j]) * h[j] + z[j] * cand[j];
+    }
+  }
+
+  const GruClassifier& model_;
+  std::size_t hidden_;
+  PackedB wx_, uh_zr_, uh_cand_;
+  Matrix azr_, z_, rn_, acand_;  // scratch
+};
 
 GruClassifier::GruClassifier(const GruConfig& config,
                              Matrix pretrained_embeddings,
@@ -38,118 +132,10 @@ GruClassifier::GruClassifier(const GruConfig& config,
   out_w_.fill_uniform(rng_, bo);
 }
 
-void GruClassifier::step(const float* x, Vector& h) const {
-  const std::size_t hidden = config_.hidden;
-  Vector z(hidden);
-  Vector r(hidden);
-  for (std::size_t j = 0; j < hidden; ++j) {
-    z[j] = sigmoid(dot(wx_.row(j), x, config_.embed_dim) +
-                   dot(uh_.row(j), h.data(), hidden) + b_[j]);
-    r[j] = sigmoid(dot(wx_.row(hidden + j), x, config_.embed_dim) +
-                   dot(uh_.row(hidden + j), h.data(), hidden) +
-                   b_[hidden + j]);
-  }
-  Vector rn(hidden);
-  for (std::size_t j = 0; j < hidden; ++j) rn[j] = r[j] * h[j];
-  for (std::size_t j = 0; j < hidden; ++j) {
-    const float cand =
-        tanh_act(dot(wx_.row(2 * hidden + j), x, config_.embed_dim) +
-                  dot(uh_.row(2 * hidden + j), rn.data(), hidden) +
-                  b_[2 * hidden + j]);
-    h[j] = (1.0f - z[j]) * h[j] + z[j] * cand;
-  }
-}
-
 Vector GruClassifier::proba_from_hidden(const Vector& h) const {
   Vector logits = matvec(out_w_, h);
   for (std::size_t c = 0; c < logits.size(); ++c) logits[c] += out_b_[c];
   return softmax(logits);
-}
-
-void GruClassifier::gate_preact_x(const float* x, std::size_t m,
-                                  float* zx) const {
-  gemm_nt(x, m, wx_.data(), 3 * config_.hidden, config_.embed_dim, zx);
-}
-
-void GruClassifier::gate_preact_zr(const float* h, std::size_t m,
-                                   float* azr) const {
-  gemm_nt(h, m, uh_.data(), 2 * config_.hidden, config_.hidden, azr);
-}
-
-void GruClassifier::gate_preact_cand(const float* rn, std::size_t m,
-                                     float* acand) const {
-  const std::size_t hidden = config_.hidden;
-  gemm_nt(rn, m, uh_.data() + 2 * hidden * hidden, hidden, hidden, acand);
-}
-
-void GruClassifier::pack_gate_weights(PackedB* wx, PackedB* uh_zr,
-                                      PackedB* uh_cand) const {
-  const std::size_t hidden = config_.hidden;
-  gemm_pack_b(wx_.data(), 3 * hidden, config_.embed_dim, *wx);
-  gemm_pack_b(uh_.data(), 2 * hidden, hidden, *uh_zr);
-  gemm_pack_b(uh_.data() + 2 * hidden * hidden, hidden, hidden, *uh_cand);
-}
-
-void GruClassifier::gate_preact_x(const PackedB& wx, const float* x,
-                                  std::size_t m, float* zx) const {
-  gemm_nt_packed(x, m, wx, zx);
-}
-
-void GruClassifier::gate_preact_zr(const PackedB& uh_zr, const float* h,
-                                   std::size_t m, float* azr) const {
-  gemm_nt_packed(h, m, uh_zr, azr);
-}
-
-void GruClassifier::gate_preact_cand(const PackedB& uh_cand, const float* rn,
-                                     std::size_t m, float* acand) const {
-  gemm_nt_packed(rn, m, uh_cand, acand);
-}
-
-void GruClassifier::step_gates(const float* zx, const float* azr,
-                               const float* h, float* z, float* rn) const {
-  // Contiguous elementwise passes (see LstmClassifier::step_from_preact):
-  // same per-element expression order as the fused loop, but each pass
-  // vectorizes. Bit-identical to the scalar step().
-  const std::size_t hidden = config_.hidden;
-  constexpr std::size_t kMaxHidden = 256;
-  ADVTEXT_CHECK_SHAPE(hidden <= kMaxHidden)
-      << "step_gates: hidden exceeds scratch bound";
-  float s[2 * kMaxHidden];
-  for (std::size_t r = 0; r < 2 * hidden; ++r) {
-    s[r] = zx[r] + azr[r] + b_[r];
-  }
-  for (std::size_t r = 0; r < 2 * hidden; ++r) s[r] = sigmoid(s[r]);
-  for (std::size_t j = 0; j < hidden; ++j) {
-    z[j] = s[j];
-    rn[j] = s[hidden + j] * h[j];
-  }
-}
-
-void GruClassifier::step_combine(const float* zx, const float* acand,
-                                 const float* z, float* h) const {
-  const std::size_t hidden = config_.hidden;
-  constexpr std::size_t kMaxHidden = 256;
-  ADVTEXT_CHECK_SHAPE(hidden <= kMaxHidden)
-      << "step_combine: hidden exceeds scratch bound";
-  float cand[kMaxHidden];
-  for (std::size_t j = 0; j < hidden; ++j) {
-    cand[j] = zx[2 * hidden + j] + acand[j] + b_[2 * hidden + j];
-  }
-  for (std::size_t j = 0; j < hidden; ++j) cand[j] = tanh_act(cand[j]);
-  for (std::size_t j = 0; j < hidden; ++j) {
-    h[j] = (1.0f - z[j]) * h[j] + z[j] * cand[j];
-  }
-}
-
-void GruClassifier::proba_from_hidden_batch(const float* h, std::size_t m,
-                                            float* proba) const {
-  const std::size_t classes = config_.num_classes;
-  gemm_nt(h, m, out_w_.data(), classes, config_.hidden, proba);
-  for (std::size_t i = 0; i < m; ++i) {
-    float* row = proba + i * classes;
-    for (std::size_t c = 0; c < classes; ++c) row[c] += out_b_[c];
-    softmax_inplace(row, classes);
-  }
 }
 
 Vector GruClassifier::forward_traced(const TokenSeq& tokens,
@@ -193,64 +179,7 @@ Vector GruClassifier::forward_traced(const TokenSeq& tokens,
 }
 
 Vector GruClassifier::predict_proba(const TokenSeq& tokens) const {
-  ADVTEXT_CHECK_SHAPE(!tokens.empty()) << "GruClassifier: empty input";
-  const Matrix emb = embedding_.lookup(tokens);
-  Vector h(config_.hidden, 0.0f);
-  for (std::size_t t = 0; t < tokens.size(); ++t) step(emb.row(t), h);
-  return proba_from_hidden(h);
-}
-
-Matrix GruClassifier::predict_proba_batch(
-    const std::vector<TokenSeq>& docs) const {
-  const std::size_t count = docs.size();
-  Matrix out(count, config_.num_classes);
-  if (count == 0) return out;
-  for (const TokenSeq& doc : docs) {
-    ADVTEXT_CHECK_SHAPE(!doc.empty()) << "GruClassifier: empty input";
-  }
-  const std::size_t hidden = config_.hidden;
-  const std::size_t dim = config_.embed_dim;
-  // Longest documents first so the active set is a shrinking prefix.
-  std::vector<std::size_t> order(count);
-  for (std::size_t i = 0; i < count; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return docs[a].size() > docs[b].size();
-                   });
-  Matrix h(count, hidden);  // zero-initialized == the scalar initial state
-  Matrix x(count, dim);
-  Matrix zx(count, 3 * hidden);
-  Matrix azr(count, 2 * hidden);
-  Matrix z(count, hidden);
-  Matrix rn(count, hidden);
-  Matrix acand(count, hidden);
-  PackedB wx_packed, uh_zr_packed, uh_cand_packed;
-  pack_gate_weights(&wx_packed, &uh_zr_packed, &uh_cand_packed);
-  const std::size_t maxlen = docs[order[0]].size();
-  std::size_t active = count;
-  for (std::size_t t = 0; t < maxlen; ++t) {
-    while (active > 0 && docs[order[active - 1]].size() <= t) --active;
-    for (std::size_t j = 0; j < active; ++j) {
-      const float* xt = embedding_.vector(docs[order[j]][t]);
-      std::copy(xt, xt + dim, x.row(j));
-    }
-    gate_preact_x(wx_packed, x.data(), active, zx.data());
-    gate_preact_zr(uh_zr_packed, h.data(), active, azr.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      step_gates(zx.row(j), azr.row(j), h.row(j), z.row(j), rn.row(j));
-    }
-    gate_preact_cand(uh_cand_packed, rn.data(), active, acand.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      step_combine(zx.row(j), acand.row(j), z.row(j), h.row(j));
-    }
-  }
-  Matrix proba(count, config_.num_classes);
-  proba_from_hidden_batch(h.data(), count, proba.data());
-  for (std::size_t j = 0; j < count; ++j) {
-    std::copy(proba.row(j), proba.row(j) + config_.num_classes,
-              out.row(order[j]));
-  }
-  return out;
+  return RecurrentSwapEvaluator<GruCell>::predict(*this, tokens);
 }
 
 template <typename OnGrads>
@@ -440,244 +369,9 @@ void GruClassifier::zero_grad() {
   embedding_.zero_grad();
 }
 
-namespace {
-
-class GruSwapEvaluator : public SwapEvaluator {
- public:
-  GruSwapEvaluator(const GruClassifier& model, const TokenSeq& base)
-      : model_(model) {
-    rebase(base);
-  }
-
- protected:
-  std::size_t do_num_classes() const override { return model_.num_classes(); }
-
-  void do_rebase(const TokenSeq& tokens) override {
-    ADVTEXT_CHECK_SHAPE(!tokens.empty()) << "GruSwapEvaluator: empty base";
-    // Weights are frozen for the lifetime of an attack; pack them once so
-    // every per-timestep gemm of the batched paths skips the tile repack.
-    model_.pack_gate_weights(&wx_packed_, &uh_zr_packed_, &uh_cand_packed_);
-    const std::size_t hidden = model_.config().hidden;
-    states_.assign(tokens.size() + 1, Vector(hidden, 0.0f));
-    const Matrix emb = model_.embedding().lookup(tokens);
-    Vector h(hidden, 0.0f);
-    for (std::size_t t = 0; t < tokens.size(); ++t) {
-      model_.step(emb.row(t), h);
-      states_[t + 1] = h;
-    }
-  }
-
-  Vector do_eval_swap(std::size_t pos, WordId candidate) override {
-    ADVTEXT_CHECK_SHAPE(pos < base_tokens_.size())
-        << "eval_swap: position out of range";
-    Vector h = states_[pos];
-    model_.step(model_.embedding().vector(candidate), h);
-    for (std::size_t t = pos + 1; t < base_tokens_.size(); ++t) {
-      model_.step(model_.embedding().vector(base_tokens_[t]), h);
-    }
-    return model_.proba_from_hidden(h);
-  }
-
-  Vector do_eval_tokens(const TokenSeq& tokens) override {
-    if (tokens.size() != base_tokens_.size()) {
-      return model_.predict_proba(tokens);
-    }
-    std::size_t first = 0;
-    while (first < tokens.size() && tokens[first] == base_tokens_[first]) {
-      ++first;
-    }
-    if (first == tokens.size()) {
-      return model_.proba_from_hidden(states_.back());
-    }
-    Vector h = states_[first];
-    for (std::size_t t = first; t < tokens.size(); ++t) {
-      model_.step(model_.embedding().vector(tokens[t]), h);
-    }
-    return model_.proba_from_hidden(h);
-  }
-
-  // Batched candidate scoring: rows sorted by swap position form a growing
-  // active prefix; per timestep each gemm covers every active row, and the
-  // shared suffix token's input pre-activation is computed once (see the
-  // LSTM evaluator for the same layout).
-  void do_eval_swap_batch(const SwapCandidate* candidates,
-                          const std::size_t* rows, std::size_t count,
-                          Matrix& out) override {
-    const std::size_t dim = model_.config().embed_dim;
-    const std::size_t n = base_tokens_.size();
-    order_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) order_[i] = i;
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return candidates[a].pos < candidates[b].pos;
-                     });
-    ensure_scratch(count);
-    std::size_t active = 0;
-    for (std::size_t t = candidates[order_[0]].pos; t < n; ++t) {
-      std::size_t newly = 0;
-      while (active + newly < count &&
-             candidates[order_[active + newly]].pos == t) {
-        const std::size_t slot = active + newly;
-        std::copy(states_[t].begin(), states_[t].end(), h_.row(slot));
-        const float* xc =
-            model_.embedding().vector(candidates[order_[slot]].word);
-        std::copy(xc, xc + dim, x_.row(newly));
-        ++newly;
-      }
-      const std::size_t prev_active = active;
-      active += newly;
-      if (newly > 0) {
-        model_.gate_preact_x(wx_packed_, x_.data(), newly, zx_.data());
-      }
-      if (prev_active > 0) {
-        model_.gate_preact_x(wx_packed_,
-                             model_.embedding().vector(base_tokens_[t]), 1,
-                             zx_base_.data());
-      }
-      zx_ptr_.resize(active);
-      for (std::size_t j = 0; j < active; ++j) {
-        zx_ptr_[j] = j < prev_active ? zx_base_.data()
-                                     : zx_.row(j - prev_active);
-      }
-      step_active(active);
-    }
-    finish_rows(rows, count, out);
-  }
-
-  void do_eval_tokens_batch(const TokenSeq* const* docs,
-                            const std::size_t* rows, std::size_t count,
-                            Matrix& out) override {
-    const std::size_t dim = model_.config().embed_dim;
-    const std::size_t n = base_tokens_.size();
-    const std::size_t classes = model_.num_classes();
-    batch_rows_.clear();
-    first_diff_.clear();
-    for (std::size_t m = 0; m < count; ++m) {
-      const TokenSeq& doc = *docs[m];
-      if (doc.size() != n) {
-        const Vector proba = model_.predict_proba(doc);
-        std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-        continue;
-      }
-      std::size_t first = 0;
-      while (first < n && doc[first] == base_tokens_[first]) ++first;
-      if (first == n) {
-        const Vector proba = model_.proba_from_hidden(states_.back());
-        std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-        continue;
-      }
-      batch_rows_.push_back(m);
-      first_diff_.push_back(first);
-    }
-    const std::size_t bcount = batch_rows_.size();
-    if (bcount == 0) return;
-    order_.resize(bcount);
-    for (std::size_t i = 0; i < bcount; ++i) order_[i] = i;
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return first_diff_[a] < first_diff_[b];
-                     });
-    ensure_scratch(bcount);
-    std::size_t active = 0;
-    for (std::size_t t = first_diff_[order_[0]]; t < n; ++t) {
-      while (active < bcount && first_diff_[order_[active]] == t) {
-        std::copy(states_[t].begin(), states_[t].end(), h_.row(active));
-        ++active;
-      }
-      std::size_t own = 0;
-      bool any_shared = false;
-      zx_ptr_.resize(active);
-      for (std::size_t j = 0; j < active; ++j) {
-        const WordId w = (*docs[batch_rows_[order_[j]]])[t];
-        if (w == base_tokens_[t]) {
-          zx_ptr_[j] = nullptr;  // patched to zx_base_ below
-          any_shared = true;
-        } else {
-          const float* xt = model_.embedding().vector(w);
-          std::copy(xt, xt + dim, x_.row(own));
-          zx_ptr_[j] = zx_.row(own);
-          ++own;
-        }
-      }
-      if (own > 0) {
-        model_.gate_preact_x(wx_packed_, x_.data(), own, zx_.data());
-      }
-      if (any_shared) {
-        model_.gate_preact_x(wx_packed_,
-                             model_.embedding().vector(base_tokens_[t]), 1,
-                             zx_base_.data());
-        for (std::size_t j = 0; j < active; ++j) {
-          if (zx_ptr_[j] == nullptr) zx_ptr_[j] = zx_base_.data();
-        }
-      }
-      step_active(active);
-    }
-    proba_.resize(bcount * classes);
-    model_.proba_from_hidden_batch(h_.data(), bcount, proba_.data());
-    for (std::size_t j = 0; j < bcount; ++j) {
-      const float* src = proba_.data() + j * classes;
-      std::copy(src, src + classes, out.row(rows[batch_rows_[order_[j]]]));
-    }
-  }
-
- private:
-  void ensure_scratch(std::size_t count) {
-    const std::size_t hidden = model_.config().hidden;
-    if (h_.rows() < count || h_.cols() != hidden) {
-      h_ = Matrix(count, hidden);
-      x_ = Matrix(count, model_.config().embed_dim);
-      zx_ = Matrix(count, 3 * hidden);
-      azr_ = Matrix(count, 2 * hidden);
-      z_ = Matrix(count, hidden);
-      rn_ = Matrix(count, hidden);
-      acand_ = Matrix(count, hidden);
-    }
-    zx_base_.resize(3 * hidden);
-  }
-
-  /// One timestep over the active prefix; zx_ptr_ must hold each row's
-  /// input pre-activation.
-  void step_active(std::size_t active) {
-    model_.gate_preact_zr(uh_zr_packed_, h_.data(), active, azr_.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      model_.step_gates(zx_ptr_[j], azr_.row(j), h_.row(j), z_.row(j),
-                        rn_.row(j));
-    }
-    model_.gate_preact_cand(uh_cand_packed_, rn_.data(), active,
-                            acand_.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      model_.step_combine(zx_ptr_[j], acand_.row(j), z_.row(j), h_.row(j));
-    }
-  }
-
-  void finish_rows(const std::size_t* rows, std::size_t count, Matrix& out) {
-    const std::size_t classes = model_.num_classes();
-    proba_.resize(count * classes);
-    model_.proba_from_hidden_batch(h_.data(), count, proba_.data());
-    for (std::size_t j = 0; j < count; ++j) {
-      const float* src = proba_.data() + j * classes;
-      std::copy(src, src + classes, out.row(rows[order_[j]]));
-    }
-  }
-
-  const GruClassifier& model_;
-  std::vector<Vector> states_;
-  PackedB wx_packed_, uh_zr_packed_, uh_cand_packed_;
-
-  std::vector<std::size_t> order_;
-  std::vector<std::size_t> batch_rows_;
-  std::vector<std::size_t> first_diff_;
-  std::vector<const float*> zx_ptr_;
-  Matrix h_, x_, zx_, azr_, z_, rn_, acand_;
-  Vector zx_base_;
-  Vector proba_;
-};
-
-}  // namespace
-
 std::unique_ptr<SwapEvaluator> GruClassifier::make_swap_evaluator(
     const TokenSeq& base) const {
-  return std::make_unique<GruSwapEvaluator>(*this, base);
+  return std::make_unique<RecurrentSwapEvaluator<GruCell>>(*this, base);
 }
 
 }  // namespace advtext

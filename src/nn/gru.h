@@ -3,13 +3,25 @@
 // A second recurrent victim family beyond the paper's LSTM: the attacks
 // only touch the TextClassifier interface, so the GRU drops in anywhere
 // the benches use the LSTM. Full manual BPTT (training + per-word input
-// gradients) and a prefix-cached SwapEvaluator, like the LSTM.
+// gradients).
 //
 // Gate equations (n = h_{t-1}):
 //   z = σ(Wz x + Uz n + bz)            update gate
 //   r = σ(Wr x + Ur n + br)            reset gate
 //   h~ = tanh(Wh x + Uh (r∘n) + bh)    candidate state
 //   h = (1-z)∘n + z∘h~
+//
+// Two forward paths: forward_traced (plain dot chains, recording the
+// activations BPTT needs) and the shared recurrent scorer
+// (src/nn/recurrent_swap_evaluator.h), which serves predict_proba and the
+// SwapEvaluator. The GRU supplies its Cell (gru.cpp):
+//   * gate gemms: input x*Wx^T (3H wide, [z | r | h~]), recurrent
+//     n*U[z;r]^T (2H) and then (r∘n)*Uh^T (H), weights packed once per
+//     evaluator;
+//   * elementwise update: the gate equations above, split around the
+//     candidate gemm;
+//   * state width H: each state row is h;
+//   * output head: softmax(W_out h + b_out).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +53,6 @@ class GruClassifier final : public TrainableClassifier {
   }
 
   Vector predict_proba(const TokenSeq& tokens) const override;
-  Matrix predict_proba_batch(const std::vector<TokenSeq>& docs) const override;
   Matrix input_gradient(const TokenSeq& tokens, std::size_t target,
                         Vector* proba = nullptr) const override;
   std::unique_ptr<SwapEvaluator> make_swap_evaluator(
@@ -53,56 +64,6 @@ class GruClassifier final : public TrainableClassifier {
 
   const GruConfig& config() const { return config_; }
   const EmbeddingLayer& embedding() const { return embedding_; }
-
-  /// One GRU step: consumes embedding row x; updates h in place.
-  void step(const float* x, Vector& h) const;
-
-  /// Probabilities from a final hidden state.
-  Vector proba_from_hidden(const Vector& h) const;
-
-  // Batched recurrence primitives. Each output element is the same
-  // ascending-k dot the scalar step computes, so one step decomposes as
-  //   gate_preact_x + gate_preact_zr + step_gates
-  //   + gate_preact_cand + step_combine
-  // bit-for-bit per row; the batched evaluator runs each piece as one
-  // gemm per timestep across the whole candidate set.
-
-  /// zx = X * Wx^T for m stacked embedding rows (m x D -> m x 3H).
-  void gate_preact_x(const float* x, std::size_t m, float* zx) const;
-
-  /// Recurrent term of the z/r gates: H * U[z;r]^T (m x H -> m x 2H).
-  void gate_preact_zr(const float* h, std::size_t m, float* azr) const;
-
-  /// Recurrent term of the candidate gate: RN * Uh^T (m x H -> m x H),
-  /// where RN rows are r ∘ h_{t-1} as produced by step_gates.
-  void gate_preact_cand(const float* rn, std::size_t m, float* acand) const;
-
-  /// One-time pack of the gate weights for the packed overloads below.
-  /// The caller owns the buffers and must repack after any weight update;
-  /// the batched evaluator packs at rebase time, when weights are frozen.
-  void pack_gate_weights(PackedB* wx, PackedB* uh_zr, PackedB* uh_cand) const;
-
-  /// Bit-identical to the unpacked overloads, minus the per-call repack
-  /// of the weight tile.
-  void gate_preact_x(const PackedB& wx, const float* x, std::size_t m,
-                     float* zx) const;
-  void gate_preact_zr(const PackedB& uh_zr, const float* h, std::size_t m,
-                      float* azr) const;
-  void gate_preact_cand(const PackedB& uh_cand, const float* rn,
-                        std::size_t m, float* acand) const;
-
-  /// First half of one step for one row: writes the update gate into z
-  /// (length hidden) and the reset-gated state r ∘ h into rn.
-  void step_gates(const float* zx, const float* azr, const float* h,
-                  float* z, float* rn) const;
-
-  /// Second half: folds the candidate state into h in place.
-  void step_combine(const float* zx, const float* acand, const float* z,
-                    float* h) const;
-
-  /// Batched output head: probabilities for m stacked hidden rows.
-  void proba_from_hidden_batch(const float* h, std::size_t m,
-                               float* proba) const;
 
   // Dropout RNG round-trip for bitwise-identical training resume.
   std::vector<std::uint64_t> stochastic_state() const override {
@@ -117,12 +78,17 @@ class GruClassifier final : public TrainableClassifier {
   }
 
  private:
+  friend struct GruCell;
+
   struct StepTrace {
     Vector z, r, htilde, h;
   };
 
   Vector forward_traced(const TokenSeq& tokens, std::vector<StepTrace>* traces,
                         Matrix* embedded) const;
+
+  /// Probabilities from a final hidden state.
+  Vector proba_from_hidden(const Vector& h) const;
 
   /// Backward pass from dh at the final step. `on_grads` receives, per
   /// step t, the gate pre-activation gradients (daz, dar, dah) and n =

@@ -5,9 +5,94 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/nn/recurrent_swap_evaluator.h"
 #include "src/tensor/ops.h"
 
 namespace advtext {
+
+/// The LSTM's Cell for RecurrentSwapEvaluator (contract in
+/// recurrent_swap_evaluator.h). State rows are [h | c].
+struct LstmCell {
+  using Model = LstmClassifier;
+
+  explicit LstmCell(const LstmClassifier& model)
+      : model_(model), hidden_(model.config_.hidden) {
+    // Weights are frozen while an evaluator lives; packing once saves the
+    // per-call tile repack of the one recurrent gemm per timestep.
+    gemm_pack_b(model.wx_.data(), 4 * hidden_, model.config_.embed_dim, wx_);
+    gemm_pack_b(model.wh_.data(), 4 * hidden_, hidden_, wh_);
+  }
+
+  std::size_t gate_width() const { return 4 * hidden_; }
+  std::size_t state_width() const { return 2 * hidden_; }
+
+  void input_gates(const float* x, std::size_t m, float* zx) const {
+    gemm_nt_packed(x, m, wx_, zx);
+  }
+
+  void step(const float* const* zx, std::size_t m, float* state) {
+    gather_hidden(state, m);
+    if (zh_.rows() < m) zh_ = Matrix(m, 4 * hidden_);
+    gemm_nt_packed(h_.data(), m, wh_, zh_.data());
+    for (std::size_t j = 0; j < m; ++j) {
+      update(zx[j], zh_.row(j), state + j * 2 * hidden_);
+    }
+  }
+
+  void head(const float* state, std::size_t m, float* proba) {
+    gather_hidden(state, m);
+    const std::size_t classes = model_.config_.num_classes;
+    gemm_nt(h_.data(), m, model_.out_w_.data(), classes, hidden_, proba);
+    for (std::size_t i = 0; i < m; ++i) {
+      float* row = proba + i * classes;
+      for (std::size_t cls = 0; cls < classes; ++cls) {
+        row[cls] += model_.out_b_[cls];
+      }
+      softmax_inplace(row, classes);
+    }
+  }
+
+ private:
+  /// Copies the h halves of m state rows into contiguous gemm input rows.
+  void gather_hidden(const float* state, std::size_t m) {
+    if (h_.rows() < m) h_ = Matrix(m, hidden_);
+    for (std::size_t j = 0; j < m; ++j) {
+      const float* h = state + j * 2 * hidden_;
+      std::copy(h, h + hidden_, h_.row(j));
+    }
+  }
+
+  /// One step of one row from its pre-activations, in contiguous
+  /// elementwise passes so the gate nonlinearities vectorize. Per element
+  /// the expression order is forward_traced's — (zx + zh) + b, then the
+  /// activation — so the result is bit-identical to it.
+  void update(const float* zx, const float* zh, float* hc) const {
+    const std::size_t hidden = hidden_;
+    constexpr std::size_t kMaxHidden = 256;
+    ADVTEXT_CHECK_SHAPE(hidden <= kMaxHidden)
+        << "LstmCell: hidden exceeds scratch bound";
+    const float* b = model_.b_.data();
+    float z[4 * kMaxHidden];
+    float tc[kMaxHidden];
+    for (std::size_t r = 0; r < 4 * hidden; ++r) z[r] = zx[r] + zh[r] + b[r];
+    // Gate blocks: [i | f | g | o] — sigmoid on i/f, tanh on g, sigmoid on o.
+    for (std::size_t r = 0; r < 2 * hidden; ++r) z[r] = sigmoid(z[r]);
+    for (std::size_t r = 2 * hidden; r < 3 * hidden; ++r) z[r] = tanh_act(z[r]);
+    for (std::size_t r = 3 * hidden; r < 4 * hidden; ++r) z[r] = sigmoid(z[r]);
+    float* h = hc;
+    float* c = hc + hidden;
+    for (std::size_t j = 0; j < hidden; ++j) {
+      c[j] = z[hidden + j] * c[j] + z[j] * z[2 * hidden + j];
+    }
+    for (std::size_t j = 0; j < hidden; ++j) tc[j] = tanh_act(c[j]);
+    for (std::size_t j = 0; j < hidden; ++j) h[j] = z[3 * hidden + j] * tc[j];
+  }
+
+  const LstmClassifier& model_;
+  std::size_t hidden_;
+  PackedB wx_, wh_;
+  Matrix h_, zh_;  // scratch
+};
 
 LstmClassifier::LstmClassifier(const LstmConfig& config,
                                Matrix pretrained_embeddings,
@@ -43,92 +128,12 @@ LstmClassifier::LstmClassifier(const LstmConfig& config,
   out_w_.fill_uniform(rng_, bo);
 }
 
-void LstmClassifier::step(const float* x, Vector& h, Vector& c) const {
-  const std::size_t hidden = config_.hidden;
-  Vector z(4 * hidden);
-  for (std::size_t r = 0; r < 4 * hidden; ++r) {
-    z[r] = dot(wx_.row(r), x, config_.embed_dim) +
-           dot(wh_.row(r), h.data(), hidden) + b_[r];
-  }
-  for (std::size_t j = 0; j < hidden; ++j) {
-    const float ig = sigmoid(z[j]);
-    const float fg = sigmoid(z[hidden + j]);
-    const float gg = tanh_act(z[2 * hidden + j]);
-    const float og = sigmoid(z[3 * hidden + j]);
-    c[j] = fg * c[j] + ig * gg;
-    h[j] = og * tanh_act(c[j]);
-  }
-}
-
 Vector LstmClassifier::proba_from_hidden(const Vector& h) const {
   Vector logits = matvec(out_w_, h);
   for (std::size_t cls = 0; cls < logits.size(); ++cls) {
     logits[cls] += out_b_[cls];
   }
   return softmax(logits);
-}
-
-void LstmClassifier::gate_preact_x(const float* x, std::size_t m,
-                                   float* zx) const {
-  gemm_nt(x, m, wx_.data(), 4 * config_.hidden, config_.embed_dim, zx);
-}
-
-void LstmClassifier::gate_preact_h(const float* h, std::size_t m,
-                                   float* zh) const {
-  gemm_nt(h, m, wh_.data(), 4 * config_.hidden, config_.hidden, zh);
-}
-
-void LstmClassifier::pack_gate_weights(PackedB* wx, PackedB* wh) const {
-  gemm_pack_b(wx_.data(), 4 * config_.hidden, config_.embed_dim, *wx);
-  gemm_pack_b(wh_.data(), 4 * config_.hidden, config_.hidden, *wh);
-}
-
-void LstmClassifier::gate_preact_x(const PackedB& wx, const float* x,
-                                   std::size_t m, float* zx) const {
-  gemm_nt_packed(x, m, wx, zx);
-}
-
-void LstmClassifier::gate_preact_h(const PackedB& wh, const float* h,
-                                   std::size_t m, float* zh) const {
-  gemm_nt_packed(h, m, wh, zh);
-}
-
-void LstmClassifier::step_from_preact(const float* zx, const float* zh,
-                                      float* h, float* c) const {
-  // Split into contiguous elementwise passes so the gate nonlinearities
-  // vectorize: one fused pre-activation pass, one sigmoid/tanh pass per
-  // gate block, then the state update. Expression order per element is
-  // unchanged — (zx + zh) + b, then the activation — so this is
-  // bit-identical to the fused per-unit loop it replaces.
-  const std::size_t hidden = config_.hidden;
-  constexpr std::size_t kMaxHidden = 256;
-  ADVTEXT_CHECK_SHAPE(hidden <= kMaxHidden)
-      << "step_from_preact: hidden exceeds scratch bound";
-  float z[4 * kMaxHidden];
-  float tc[kMaxHidden];
-  for (std::size_t r = 0; r < 4 * hidden; ++r) {
-    z[r] = zx[r] + zh[r] + b_[r];
-  }
-  // Gate blocks: [i | f | g | o] — sigmoid on i/f, tanh on g, sigmoid on o.
-  for (std::size_t r = 0; r < 2 * hidden; ++r) z[r] = sigmoid(z[r]);
-  for (std::size_t r = 2 * hidden; r < 3 * hidden; ++r) z[r] = tanh_act(z[r]);
-  for (std::size_t r = 3 * hidden; r < 4 * hidden; ++r) z[r] = sigmoid(z[r]);
-  for (std::size_t j = 0; j < hidden; ++j) {
-    c[j] = z[hidden + j] * c[j] + z[j] * z[2 * hidden + j];
-  }
-  for (std::size_t j = 0; j < hidden; ++j) tc[j] = tanh_act(c[j]);
-  for (std::size_t j = 0; j < hidden; ++j) h[j] = z[3 * hidden + j] * tc[j];
-}
-
-void LstmClassifier::proba_from_hidden_batch(const float* h, std::size_t m,
-                                             float* proba) const {
-  const std::size_t classes = config_.num_classes;
-  gemm_nt(h, m, out_w_.data(), classes, config_.hidden, proba);
-  for (std::size_t i = 0; i < m; ++i) {
-    float* row = proba + i * classes;
-    for (std::size_t cls = 0; cls < classes; ++cls) row[cls] += out_b_[cls];
-    softmax_inplace(row, classes);
-  }
 }
 
 Vector LstmClassifier::forward_traced(const TokenSeq& tokens,
@@ -173,60 +178,7 @@ Vector LstmClassifier::forward_traced(const TokenSeq& tokens,
 }
 
 Vector LstmClassifier::predict_proba(const TokenSeq& tokens) const {
-  ADVTEXT_CHECK_SHAPE(!tokens.empty()) << "LstmClassifier: empty input";
-  const Matrix emb = embedding_.lookup(tokens);
-  Vector h(config_.hidden, 0.0f);
-  Vector c(config_.hidden, 0.0f);
-  for (std::size_t t = 0; t < tokens.size(); ++t) step(emb.row(t), h, c);
-  return proba_from_hidden(h);
-}
-
-Matrix LstmClassifier::predict_proba_batch(
-    const std::vector<TokenSeq>& docs) const {
-  const std::size_t count = docs.size();
-  Matrix out(count, config_.num_classes);
-  if (count == 0) return out;
-  for (const TokenSeq& doc : docs) {
-    ADVTEXT_CHECK_SHAPE(!doc.empty()) << "LstmClassifier: empty input";
-  }
-  const std::size_t hidden = config_.hidden;
-  const std::size_t dim = config_.embed_dim;
-  // Longest documents first: the active set is then always a prefix of the
-  // sort order and shrinks as shorter documents finish.
-  std::vector<std::size_t> order(count);
-  for (std::size_t i = 0; i < count; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return docs[a].size() > docs[b].size();
-                   });
-  Matrix h(count, hidden);  // zero-initialized == the scalar initial state
-  Matrix c(count, hidden);
-  Matrix x(count, dim);
-  Matrix zx(count, 4 * hidden);
-  Matrix zh(count, 4 * hidden);
-  PackedB wx_packed, wh_packed;
-  pack_gate_weights(&wx_packed, &wh_packed);
-  const std::size_t maxlen = docs[order[0]].size();
-  std::size_t active = count;
-  for (std::size_t t = 0; t < maxlen; ++t) {
-    while (active > 0 && docs[order[active - 1]].size() <= t) --active;
-    for (std::size_t j = 0; j < active; ++j) {
-      const float* xt = embedding_.vector(docs[order[j]][t]);
-      std::copy(xt, xt + dim, x.row(j));
-    }
-    gate_preact_h(wh_packed, h.data(), active, zh.data());
-    gate_preact_x(wx_packed, x.data(), active, zx.data());
-    for (std::size_t j = 0; j < active; ++j) {
-      step_from_preact(zx.row(j), zh.row(j), h.row(j), c.row(j));
-    }
-  }
-  Matrix proba(count, config_.num_classes);
-  proba_from_hidden_batch(h.data(), count, proba.data());
-  for (std::size_t j = 0; j < count; ++j) {
-    std::copy(proba.row(j), proba.row(j) + config_.num_classes,
-              out.row(order[j]));
-  }
-  return out;
+  return RecurrentSwapEvaluator<LstmCell>::predict(*this, tokens);
 }
 
 template <typename OnStep>
@@ -390,246 +342,9 @@ void LstmClassifier::zero_grad() {
   embedding_.zero_grad();
 }
 
-// ---- Prefix-cached swap evaluator ------------------------------------------
-
-namespace {
-
-class LstmSwapEvaluatorImpl : public SwapEvaluator {
- public:
-  LstmSwapEvaluatorImpl(const LstmClassifier& model, const TokenSeq& base)
-      : model_(model) {
-    rebase(base);
-  }
-
- protected:
-  std::size_t do_num_classes() const override { return model_.num_classes(); }
-
-  void do_rebase(const TokenSeq& tokens) override {
-    ADVTEXT_CHECK_SHAPE(!tokens.empty()) << "LstmSwapEvaluator: empty base";
-    // Weights are frozen for the lifetime of an attack; pack them once so
-    // every per-timestep gemm of the batched paths skips the tile repack.
-    model_.pack_gate_weights(&wx_packed_, &wh_packed_);
-    const std::size_t hidden = model_.config().hidden;
-    // states_[t] = (h, c) after consuming tokens[0..t-1].
-    h_states_.assign(tokens.size() + 1, Vector(hidden, 0.0f));
-    c_states_.assign(tokens.size() + 1, Vector(hidden, 0.0f));
-    const Matrix emb = model_.embedding().lookup(tokens);
-    Vector h(hidden, 0.0f);
-    Vector c(hidden, 0.0f);
-    for (std::size_t t = 0; t < tokens.size(); ++t) {
-      model_.step(emb.row(t), h, c);
-      h_states_[t + 1] = h;
-      c_states_[t + 1] = c;
-    }
-  }
-
-  Vector do_eval_swap(std::size_t pos, WordId candidate) override {
-    ADVTEXT_CHECK_SHAPE(pos < base_tokens_.size())
-        << "eval_swap: position out of range";
-    Vector h = h_states_[pos];
-    Vector c = c_states_[pos];
-    model_.step(model_.embedding().vector(candidate), h, c);
-    for (std::size_t t = pos + 1; t < base_tokens_.size(); ++t) {
-      model_.step(model_.embedding().vector(base_tokens_[t]), h, c);
-    }
-    return model_.proba_from_hidden(h);
-  }
-
-  Vector do_eval_tokens(const TokenSeq& tokens) override {
-    if (tokens.size() != base_tokens_.size()) {
-      return model_.predict_proba(tokens);
-    }
-    std::size_t first = 0;
-    while (first < tokens.size() && tokens[first] == base_tokens_[first]) {
-      ++first;
-    }
-    if (first == tokens.size()) {
-      return model_.proba_from_hidden(h_states_.back());
-    }
-    Vector h = h_states_[first];
-    Vector c = c_states_[first];
-    for (std::size_t t = first; t < tokens.size(); ++t) {
-      model_.step(model_.embedding().vector(tokens[t]), h, c);
-    }
-    return model_.proba_from_hidden(h);
-  }
-
-  // Batched candidate scoring. Rows are sorted by swap position so the
-  // active set is a growing prefix: at each timestep one gemm produces
-  // every active row's recurrent pre-activation, and rows past their swap
-  // all consume the same base token, so its input pre-activation is
-  // computed once and shared. This removes the dominant 4H*D-per-row term
-  // of the suffix recurrence — the scalar path pays it every step.
-  void do_eval_swap_batch(const SwapCandidate* candidates,
-                          const std::size_t* rows, std::size_t count,
-                          Matrix& out) override {
-    const std::size_t hidden = model_.config().hidden;
-    const std::size_t dim = model_.config().embed_dim;
-    const std::size_t n = base_tokens_.size();
-    order_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) order_[i] = i;
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return candidates[a].pos < candidates[b].pos;
-                     });
-    ensure_scratch(count, hidden, dim);
-    std::size_t active = 0;
-    for (std::size_t t = candidates[order_[0]].pos; t < n; ++t) {
-      // Activate rows whose swap is at t from the cached prefix state.
-      std::size_t newly = 0;
-      while (active + newly < count &&
-             candidates[order_[active + newly]].pos == t) {
-        const std::size_t slot = active + newly;
-        std::copy(h_states_[t].begin(), h_states_[t].end(), h_.row(slot));
-        std::copy(c_states_[t].begin(), c_states_[t].end(), c_.row(slot));
-        const float* xc =
-            model_.embedding().vector(candidates[order_[slot]].word);
-        std::copy(xc, xc + dim, x_.row(newly));
-        ++newly;
-      }
-      const std::size_t prev_active = active;
-      active += newly;
-      model_.gate_preact_h(wh_packed_, h_.data(), active, zh_.data());
-      if (newly > 0) {
-        model_.gate_preact_x(wx_packed_, x_.data(), newly, zx_.data());
-      }
-      if (prev_active > 0) {
-        model_.gate_preact_x(wx_packed_,
-                             model_.embedding().vector(base_tokens_[t]), 1,
-                             zx_base_.data());
-      }
-      for (std::size_t j = 0; j < active; ++j) {
-        const float* zx = j < prev_active ? zx_base_.data()
-                                          : zx_.row(j - prev_active);
-        model_.step_from_preact(zx, zh_.row(j), h_.row(j), c_.row(j));
-      }
-    }
-    finish_rows(rows, count, out);
-  }
-
-  void do_eval_tokens_batch(const TokenSeq* const* docs,
-                            const std::size_t* rows, std::size_t count,
-                            Matrix& out) override {
-    const std::size_t hidden = model_.config().hidden;
-    const std::size_t dim = model_.config().embed_dim;
-    const std::size_t n = base_tokens_.size();
-    const std::size_t classes = model_.num_classes();
-    // Rows the prefix cache cannot help ride the scalar path unchanged.
-    batch_rows_.clear();
-    first_diff_.clear();
-    for (std::size_t m = 0; m < count; ++m) {
-      const TokenSeq& doc = *docs[m];
-      if (doc.size() != n) {
-        const Vector proba = model_.predict_proba(doc);
-        std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-        continue;
-      }
-      std::size_t first = 0;
-      while (first < n && doc[first] == base_tokens_[first]) ++first;
-      if (first == n) {
-        const Vector proba = model_.proba_from_hidden(h_states_.back());
-        std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-        continue;
-      }
-      batch_rows_.push_back(m);
-      first_diff_.push_back(first);
-    }
-    const std::size_t bcount = batch_rows_.size();
-    if (bcount == 0) return;
-    order_.resize(bcount);
-    for (std::size_t i = 0; i < bcount; ++i) order_[i] = i;
-    std::stable_sort(order_.begin(), order_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return first_diff_[a] < first_diff_[b];
-                     });
-    ensure_scratch(bcount, hidden, dim);
-    zx_slot_.resize(bcount);
-    std::size_t active = 0;
-    for (std::size_t t = first_diff_[order_[0]]; t < n; ++t) {
-      while (active < bcount && first_diff_[order_[active]] == t) {
-        std::copy(h_states_[t].begin(), h_states_[t].end(), h_.row(active));
-        std::copy(c_states_[t].begin(), c_states_[t].end(), c_.row(active));
-        ++active;
-      }
-      // Each active row consumes its own token; rows matching the base
-      // token at t share one input pre-activation.
-      std::size_t own = 0;
-      bool any_shared = false;
-      for (std::size_t j = 0; j < active; ++j) {
-        const WordId w = (*docs[batch_rows_[order_[j]]])[t];
-        if (w == base_tokens_[t]) {
-          zx_slot_[j] = bcount;  // sentinel: shared
-          any_shared = true;
-        } else {
-          const float* xt = model_.embedding().vector(w);
-          std::copy(xt, xt + dim, x_.row(own));
-          zx_slot_[j] = own++;
-        }
-      }
-      model_.gate_preact_h(wh_packed_, h_.data(), active, zh_.data());
-      if (own > 0) model_.gate_preact_x(wx_packed_, x_.data(), own, zx_.data());
-      if (any_shared) {
-        model_.gate_preact_x(wx_packed_,
-                             model_.embedding().vector(base_tokens_[t]), 1,
-                             zx_base_.data());
-      }
-      for (std::size_t j = 0; j < active; ++j) {
-        const float* zx = zx_slot_[j] == bcount ? zx_base_.data()
-                                                : zx_.row(zx_slot_[j]);
-        model_.step_from_preact(zx, zh_.row(j), h_.row(j), c_.row(j));
-      }
-    }
-    proba_.resize(bcount * classes);
-    model_.proba_from_hidden_batch(h_.data(), bcount, proba_.data());
-    for (std::size_t j = 0; j < bcount; ++j) {
-      const float* src = proba_.data() + j * classes;
-      std::copy(src, src + classes, out.row(rows[batch_rows_[order_[j]]]));
-    }
-  }
-
- private:
-  void ensure_scratch(std::size_t count, std::size_t hidden,
-                      std::size_t dim) {
-    if (h_.rows() < count || h_.cols() != hidden) {
-      h_ = Matrix(count, hidden);
-      c_ = Matrix(count, hidden);
-      x_ = Matrix(count, dim);
-      zx_ = Matrix(count, 4 * hidden);
-      zh_ = Matrix(count, 4 * hidden);
-    }
-    zx_base_.resize(4 * hidden);
-  }
-
-  void finish_rows(const std::size_t* rows, std::size_t count, Matrix& out) {
-    const std::size_t classes = model_.num_classes();
-    proba_.resize(count * classes);
-    model_.proba_from_hidden_batch(h_.data(), count, proba_.data());
-    for (std::size_t j = 0; j < count; ++j) {
-      const float* src = proba_.data() + j * classes;
-      std::copy(src, src + classes, out.row(rows[order_[j]]));
-    }
-  }
-
-  const LstmClassifier& model_;
-  std::vector<Vector> h_states_;
-  std::vector<Vector> c_states_;
-  PackedB wx_packed_, wh_packed_;
-
-  // Batch scratch, reused across rounds.
-  std::vector<std::size_t> order_;
-  std::vector<std::size_t> batch_rows_;
-  std::vector<std::size_t> first_diff_;
-  std::vector<std::size_t> zx_slot_;
-  Matrix h_, c_, x_, zx_, zh_;
-  Vector zx_base_;
-  Vector proba_;
-};
-
-}  // namespace
-
 std::unique_ptr<SwapEvaluator> LstmClassifier::make_swap_evaluator(
     const TokenSeq& base) const {
-  return std::make_unique<LstmSwapEvaluatorImpl>(*this, base);
+  return std::make_unique<RecurrentSwapEvaluator<LstmCell>>(*this, base);
 }
 
 }  // namespace advtext

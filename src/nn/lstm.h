@@ -4,10 +4,16 @@
 // both for training and for the per-word input-embedding gradients that
 // drive the attacks.
 //
-// The SwapEvaluator caches the hidden/cell state trajectory of the base
-// document; a candidate that first differs at position p only needs the
-// suffix recurrence from p, roughly halving the cost of the massive
-// candidate sweeps in the greedy attacks.
+// Two forward paths: forward_traced (plain dot chains, recording the
+// activations BPTT needs) and the shared recurrent scorer
+// (src/nn/recurrent_swap_evaluator.h), which serves predict_proba and the
+// SwapEvaluator. The LSTM supplies its Cell (lstm.cpp):
+//   * gate gemms: input x*Wx^T and recurrent h*Wh^T, both 4H wide in gate
+//     order [i | f | g | o], with the weights packed once per evaluator;
+//   * elementwise update: z = zx + zh + b, σ on i/f/o and tanh on g, then
+//     c = f∘c + i∘g and h = o∘tanh(c);
+//   * state width 2H: each state row is [h | c];
+//   * output head: softmax(W_out h + b_out).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +45,6 @@ class LstmClassifier final : public TrainableClassifier {
   }
 
   Vector predict_proba(const TokenSeq& tokens) const override;
-  Matrix predict_proba_batch(const std::vector<TokenSeq>& docs) const override;
   Matrix input_gradient(const TokenSeq& tokens, std::size_t target,
                         Vector* proba = nullptr) const override;
   std::unique_ptr<SwapEvaluator> make_swap_evaluator(
@@ -51,50 +56,6 @@ class LstmClassifier final : public TrainableClassifier {
 
   const LstmConfig& config() const { return config_; }
   const EmbeddingLayer& embedding() const { return embedding_; }
-
-  // -- Internal recurrence, exposed for the SwapEvaluator -------------------
-
-  /// One LSTM step: consumes embedding row x (dim D) and state (h, c);
-  /// writes the next state in place.
-  void step(const float* x, Vector& h, Vector& c) const;
-
-  /// Probabilities from a final hidden state.
-  Vector proba_from_hidden(const Vector& h) const;
-
-  // Batched recurrence primitives. Every output element is the same
-  // ascending-k dot the scalar step computes, so
-  //   gate_preact_x + gate_preact_h + step_from_preact == step
-  // bit-for-bit per row; the batched evaluators stack rows so each piece
-  // is one gemm per timestep instead of 8H small dots per candidate.
-
-  /// zx = X * Wx^T for m stacked embedding rows (m x D -> m x 4H).
-  void gate_preact_x(const float* x, std::size_t m, float* zx) const;
-
-  /// zh = H * Wh^T for m stacked hidden rows (m x H -> m x 4H).
-  void gate_preact_h(const float* h, std::size_t m, float* zh) const;
-
-  /// One-time pack of the gate weights for the packed overloads below.
-  /// The caller owns the buffers and must repack after any weight update;
-  /// the batched evaluators pack at rebase time, when weights are frozen.
-  void pack_gate_weights(PackedB* wx, PackedB* wh) const;
-
-  /// Bit-identical to the unpacked overloads, minus the per-call repack
-  /// of the weight tile (one recurrent gemm runs per timestep, so that
-  /// repack is the dominant per-call overhead at small batch widths).
-  void gate_preact_x(const PackedB& wx, const float* x, std::size_t m,
-                     float* zx) const;
-  void gate_preact_h(const PackedB& wh, const float* h, std::size_t m,
-                     float* zh) const;
-
-  /// One step for one row from precomputed pre-activations; updates the
-  /// raw h and c rows (length hidden) in place.
-  void step_from_preact(const float* zx, const float* zh, float* h,
-                        float* c) const;
-
-  /// Batched output head: class probabilities for m stacked hidden rows,
-  /// written row-major into proba (m x num_classes).
-  void proba_from_hidden_batch(const float* h, std::size_t m,
-                               float* proba) const;
 
   // Dropout RNG round-trip for bitwise-identical training resume.
   std::vector<std::uint64_t> stochastic_state() const override {
@@ -109,6 +70,8 @@ class LstmClassifier final : public TrainableClassifier {
   }
 
  private:
+  friend struct LstmCell;
+
   /// Per-step activations recorded during the stateful forward pass.
   struct StepTrace {
     Vector i, f, g, o, c, tanh_c, h;
@@ -117,6 +80,9 @@ class LstmClassifier final : public TrainableClassifier {
   /// Forward pass recording traces; returns final probabilities.
   Vector forward_traced(const TokenSeq& tokens, std::vector<StepTrace>* traces,
                         Matrix* embedded) const;
+
+  /// Probabilities from a final hidden state.
+  Vector proba_from_hidden(const Vector& h) const;
 
   /// Shared backpropagation-through-time core. Starting from dh at the
   /// final step, walks the recurrence backwards; for every step it invokes

@@ -1,13 +1,10 @@
 #include "src/nn/text_classifier.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace advtext {
 
 namespace {
-
-std::atomic<bool> g_sequential_scoring{false};
 
 /// Fallback evaluator: one full forward pass per candidate.
 class FullForwardEvaluator : public SwapEvaluator {
@@ -22,14 +19,25 @@ class FullForwardEvaluator : public SwapEvaluator {
 
   void do_rebase(const TokenSeq& /*tokens*/) override {}
 
-  Vector do_eval_swap(std::size_t pos, WordId candidate) override {
+  void do_eval_swap_batch(const SwapCandidate* candidates,
+                          const std::size_t* rows, std::size_t count,
+                          Matrix& out) override {
     TokenSeq tokens = base_tokens_;
-    tokens.at(pos) = candidate;
-    return model_.predict_proba(tokens);
+    for (std::size_t m = 0; m < count; ++m) {
+      tokens[candidates[m].pos] = candidates[m].word;
+      const Vector proba = model_.predict_proba(tokens);
+      std::copy(proba.begin(), proba.end(), out.row(rows[m]));
+      tokens[candidates[m].pos] = base_tokens_[candidates[m].pos];
+    }
   }
 
-  Vector do_eval_tokens(const TokenSeq& tokens) override {
-    return model_.predict_proba(tokens);
+  void do_eval_tokens_batch(const TokenSeq* const* docs,
+                            const std::size_t* rows, std::size_t count,
+                            Matrix& out) override {
+    for (std::size_t m = 0; m < count; ++m) {
+      const Vector proba = model_.predict_proba(*docs[m]);
+      std::copy(proba.begin(), proba.end(), out.row(rows[m]));
+    }
   }
 
  private:
@@ -37,14 +45,6 @@ class FullForwardEvaluator : public SwapEvaluator {
 };
 
 }  // namespace
-
-void set_sequential_scoring(bool sequential) {
-  g_sequential_scoring.store(sequential, std::memory_order_relaxed);
-}
-
-bool sequential_scoring() {
-  return g_sequential_scoring.load(std::memory_order_relaxed);
-}
 
 // ---- SwapEvaluator shell ---------------------------------------------------
 
@@ -84,83 +84,65 @@ void SwapEvaluator::charge_one() {
   }
 }
 
+template <typename Compute>
+Vector SwapEvaluator::serve_one(QueryCache* cache, std::uint64_t key,
+                                Compute&& compute) {
+  ++queries_;
+  if (cache != nullptr) {
+    if (const std::vector<float>* hit = cache->lookup(key)) {
+      ++hits_;
+      return *hit;
+    }
+  }
+  ++misses_;
+  charge_one();
+  Vector proba = compute();
+  if (cache != nullptr) cache->insert(key, proba);
+  return proba;
+}
+
 Vector SwapEvaluator::eval_swap(std::size_t pos, WordId candidate) {
   ADVTEXT_CHECK_SHAPE(pos < base_tokens_.size())
       << "eval_swap: position " << pos << " out of range for base of "
       << base_tokens_.size() << " tokens";
   QueryCache* cache = active_cache();
-  if (cache != nullptr) {
-    const std::uint64_t key = swap_key(pos, candidate);
-    if (const std::vector<float>* hit = cache->lookup(key)) {
-      ++queries_;
-      ++hits_;
-      return *hit;
-    }
-    ++queries_;
-    ++misses_;
-    charge_one();
-    Vector proba = do_eval_swap(pos, candidate);
-    cache->insert(key, proba);
-    return proba;
-  }
-  ++queries_;
-  ++misses_;
-  charge_one();
-  return do_eval_swap(pos, candidate);
+  return serve_one(cache, cache != nullptr ? swap_key(pos, candidate) : 0,
+                   [&] { return do_eval_swap(pos, candidate); });
 }
 
 Vector SwapEvaluator::eval_tokens(const TokenSeq& tokens) {
   QueryCache* cache = active_cache();
-  if (cache != nullptr) {
-    const std::uint64_t key =
-        fnv1a64(tokens.data(), tokens.size() * sizeof(WordId));
-    if (const std::vector<float>* hit = cache->lookup(key)) {
-      ++queries_;
-      ++hits_;
-      return *hit;
-    }
-    ++queries_;
-    ++misses_;
-    charge_one();
-    Vector proba = do_eval_tokens(tokens);
-    cache->insert(key, proba);
-    return proba;
-  }
-  ++queries_;
-  ++misses_;
-  charge_one();
-  return do_eval_tokens(tokens);
+  const std::uint64_t key =
+      cache != nullptr ? fnv1a64(tokens.data(), tokens.size() * sizeof(WordId))
+                       : 0;
+  return serve_one(cache, key, [&] { return do_eval_tokens(tokens); });
 }
 
-BatchStatus SwapEvaluator::eval_swap_batch(const SwapCandidate* candidates,
-                                           std::size_t count, Matrix& out) {
+template <typename KeyOf>
+BatchStatus SwapEvaluator::plan_batch(std::size_t count, Matrix& out,
+                                      KeyOf&& key_of) {
   const std::size_t classes = do_num_classes();
   if (out.rows() != count || out.cols() != classes) {
     out = Matrix(count, classes);
   }
   QueryCache* cache = active_cache();
-  miss_cands_.clear();
   miss_rows_.clear();
   miss_keys_.clear();
   alias_rows_.clear();
   pending_.clear();
 
-  // Phase A: walk the batch in request order, replicating the seed
-  // per-candidate loop's control checks (deadline before every row, budget
-  // before every miss) so budget-limited truncation lands on the same
-  // logical query index as the sequential path.
+  // Walk the batch in request order, replicating the per-candidate loops'
+  // control checks (deadline before every row, budget before every miss)
+  // so budget-limited truncation lands on the same logical query index as
+  // a loop of lone queries would.
   BatchStatus status;
   for (std::size_t i = 0; i < count; ++i) {
     if (control_ != nullptr && control_->deadline.expired()) {
       status.out_of_time = true;
       break;
     }
-    ADVTEXT_CHECK_SHAPE(candidates[i].pos < base_tokens_.size())
-        << "eval_swap_batch: position " << candidates[i].pos
-        << " out of range for base of " << base_tokens_.size() << " tokens";
+    const std::uint64_t key = key_of(i);
     if (cache != nullptr) {
-      const std::uint64_t key = swap_key(candidates[i].pos,
-                                         candidates[i].word);
       if (const std::vector<float>* hit = cache->lookup(key)) {
         std::copy(hit->begin(), hit->end(), out.row(i));
         ++queries_;
@@ -170,56 +152,62 @@ BatchStatus SwapEvaluator::eval_swap_batch(const SwapCandidate* candidates,
       }
       const auto pending = pending_.find(key);
       if (pending != pending_.end()) {
-        // In-batch duplicate of a still-pending miss: copy its row after
-        // phase B computes it. Costs nothing and is not charged.
+        // In-batch duplicate of a still-pending miss: copy its row once
+        // the misses are scored. Costs nothing and is not charged.
         alias_rows_.emplace_back(i, pending->second);
         ++queries_;
         ++hits_;
         ++status.evaluated;
         continue;
       }
-      if (control_ != nullptr && control_->budget_exhausted()) {
-        status.out_of_budget = true;
-        break;
-      }
-      pending_.emplace(key, i);
-      miss_keys_.push_back(key);
-    } else if (control_ != nullptr && control_->budget_exhausted()) {
+    }
+    if (control_ != nullptr && control_->budget_exhausted()) {
       status.out_of_budget = true;
       break;
+    }
+    if (cache != nullptr) {
+      pending_.emplace(key, i);
+      miss_keys_.push_back(key);
     }
     ++queries_;
     ++misses_;
     charge_one();
-    miss_cands_.push_back(candidates[i]);
     miss_rows_.push_back(i);
     ++status.evaluated;
   }
+  return status;
+}
 
-  // Phase B: score every miss in one batched forward (or, under the bench
-  // seed-path switch, through the per-candidate hook row by row).
-  if (!miss_rows_.empty()) {
-    if (sequential_scoring()) {
-      for (std::size_t m = 0; m < miss_rows_.size(); ++m) {
-        const Vector proba =
-            do_eval_swap(miss_cands_[m].pos, miss_cands_[m].word);
-        std::copy(proba.begin(), proba.end(), out.row(miss_rows_[m]));
-      }
-    } else {
-      do_eval_swap_batch(miss_cands_.data(), miss_rows_.data(),
-                         miss_rows_.size(), out);
-    }
-    if (cache != nullptr) {
-      for (std::size_t m = 0; m < miss_rows_.size(); ++m) {
-        const float* r = out.row(miss_rows_[m]);
-        row_scratch_.assign(r, r + classes);
-        cache->insert(miss_keys_[m], row_scratch_);
-      }
+void SwapEvaluator::finish_batch(Matrix& out) {
+  if (QueryCache* cache = active_cache()) {
+    const std::size_t classes = out.cols();
+    for (std::size_t m = 0; m < miss_rows_.size(); ++m) {
+      const float* r = out.row(miss_rows_[m]);
+      row_scratch_.assign(r, r + classes);
+      cache->insert(miss_keys_[m], row_scratch_);
     }
   }
   for (const auto& [dst, src] : alias_rows_) {
-    std::copy(out.row(src), out.row(src) + classes, out.row(dst));
+    std::copy(out.row(src), out.row(src) + out.cols(), out.row(dst));
   }
+}
+
+BatchStatus SwapEvaluator::eval_swap_batch(const SwapCandidate* candidates,
+                                           std::size_t count, Matrix& out) {
+  const bool keyed = active_cache() != nullptr;
+  const BatchStatus status = plan_batch(count, out, [&](std::size_t i) {
+    ADVTEXT_CHECK_SHAPE(candidates[i].pos < base_tokens_.size())
+        << "eval_swap_batch: position " << candidates[i].pos
+        << " out of range for base of " << base_tokens_.size() << " tokens";
+    return keyed ? swap_key(candidates[i].pos, candidates[i].word) : 0;
+  });
+  if (!miss_rows_.empty()) {
+    miss_cands_.clear();
+    for (const std::size_t i : miss_rows_) miss_cands_.push_back(candidates[i]);
+    do_eval_swap_batch(miss_cands_.data(), miss_rows_.data(),
+                       miss_rows_.size(), out);
+  }
+  finish_batch(out);
   return status;
 }
 
@@ -230,80 +218,18 @@ BatchStatus SwapEvaluator::eval_swap_batch(
 
 BatchStatus SwapEvaluator::eval_tokens_batch(const TokenSeq* docs,
                                              std::size_t count, Matrix& out) {
-  const std::size_t classes = do_num_classes();
-  if (out.rows() != count || out.cols() != classes) {
-    out = Matrix(count, classes);
-  }
-  QueryCache* cache = active_cache();
-  miss_docs_.clear();
-  miss_rows_.clear();
-  miss_keys_.clear();
-  alias_rows_.clear();
-  pending_.clear();
-
-  BatchStatus status;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (control_ != nullptr && control_->deadline.expired()) {
-      status.out_of_time = true;
-      break;
-    }
-    if (cache != nullptr) {
-      const std::uint64_t key =
-          fnv1a64(docs[i].data(), docs[i].size() * sizeof(WordId));
-      if (const std::vector<float>* hit = cache->lookup(key)) {
-        std::copy(hit->begin(), hit->end(), out.row(i));
-        ++queries_;
-        ++hits_;
-        ++status.evaluated;
-        continue;
-      }
-      const auto pending = pending_.find(key);
-      if (pending != pending_.end()) {
-        alias_rows_.emplace_back(i, pending->second);
-        ++queries_;
-        ++hits_;
-        ++status.evaluated;
-        continue;
-      }
-      if (control_ != nullptr && control_->budget_exhausted()) {
-        status.out_of_budget = true;
-        break;
-      }
-      pending_.emplace(key, i);
-      miss_keys_.push_back(key);
-    } else if (control_ != nullptr && control_->budget_exhausted()) {
-      status.out_of_budget = true;
-      break;
-    }
-    ++queries_;
-    ++misses_;
-    charge_one();
-    miss_docs_.push_back(&docs[i]);
-    miss_rows_.push_back(i);
-    ++status.evaluated;
-  }
-
+  const bool keyed = active_cache() != nullptr;
+  const BatchStatus status = plan_batch(count, out, [&](std::size_t i) {
+    return keyed ? fnv1a64(docs[i].data(), docs[i].size() * sizeof(WordId))
+                 : 0;
+  });
   if (!miss_rows_.empty()) {
-    if (sequential_scoring()) {
-      for (std::size_t m = 0; m < miss_rows_.size(); ++m) {
-        const Vector proba = do_eval_tokens(*miss_docs_[m]);
-        std::copy(proba.begin(), proba.end(), out.row(miss_rows_[m]));
-      }
-    } else {
-      do_eval_tokens_batch(miss_docs_.data(), miss_rows_.data(),
-                           miss_rows_.size(), out);
-    }
-    if (cache != nullptr) {
-      for (std::size_t m = 0; m < miss_rows_.size(); ++m) {
-        const float* r = out.row(miss_rows_[m]);
-        row_scratch_.assign(r, r + classes);
-        cache->insert(miss_keys_[m], row_scratch_);
-      }
-    }
+    miss_docs_.clear();
+    for (const std::size_t i : miss_rows_) miss_docs_.push_back(&docs[i]);
+    do_eval_tokens_batch(miss_docs_.data(), miss_rows_.data(),
+                         miss_rows_.size(), out);
   }
-  for (const auto& [dst, src] : alias_rows_) {
-    std::copy(out.row(src), out.row(src) + classes, out.row(dst));
-  }
+  finish_batch(out);
   return status;
 }
 
@@ -312,22 +238,20 @@ BatchStatus SwapEvaluator::eval_tokens_batch(const std::vector<TokenSeq>& docs,
   return eval_tokens_batch(docs.data(), docs.size(), out);
 }
 
-void SwapEvaluator::do_eval_swap_batch(const SwapCandidate* candidates,
-                                       const std::size_t* rows,
-                                       std::size_t count, Matrix& out) {
-  for (std::size_t m = 0; m < count; ++m) {
-    const Vector proba = do_eval_swap(candidates[m].pos, candidates[m].word);
-    std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-  }
+Vector SwapEvaluator::do_eval_swap(std::size_t pos, WordId candidate) {
+  const SwapCandidate one{pos, candidate};
+  const std::size_t row = 0;
+  Matrix out(1, do_num_classes());
+  do_eval_swap_batch(&one, &row, 1, out);
+  return out.row_copy(0);
 }
 
-void SwapEvaluator::do_eval_tokens_batch(const TokenSeq* const* docs,
-                                         const std::size_t* rows,
-                                         std::size_t count, Matrix& out) {
-  for (std::size_t m = 0; m < count; ++m) {
-    const Vector proba = do_eval_tokens(*docs[m]);
-    std::copy(proba.begin(), proba.end(), out.row(rows[m]));
-  }
+Vector SwapEvaluator::do_eval_tokens(const TokenSeq& tokens) {
+  const TokenSeq* one = &tokens;
+  const std::size_t row = 0;
+  Matrix out(1, do_num_classes());
+  do_eval_tokens_batch(&one, &row, 1, out);
+  return out.row_copy(0);
 }
 
 // ---- TextClassifier --------------------------------------------------------

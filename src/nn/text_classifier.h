@@ -29,10 +29,14 @@
 //     row, budget before every miss; a truncated batch returns the number
 //     of rows actually evaluated).
 //
-// Models implement do_eval_swap / do_eval_tokens (per-candidate) and may
-// override the do_*_batch hooks with stacked-gemm versions; the default
-// batch hooks loop the per-candidate path, so batched and sequential
-// scoring are bit-identical by construction for every model.
+// Models implement the batched hooks do_eval_swap_batch and
+// do_eval_tokens_batch (one stacked forward over a batch's misses; the
+// recurrent families share RecurrentSwapEvaluator). The per-candidate hooks
+// default to a batch of one, so every query — lone or batched — runs the
+// same scoring code. The independent parity oracle is the training
+// forward: input_gradient(tokens, target, &proba) returns probabilities
+// from plain dot chains, which the batch hooks of WCNN, LSTM and GRU equal
+// bit for bit (tests/batch_cache_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -129,20 +133,23 @@ class SwapEvaluator {
  protected:
   virtual std::size_t do_num_classes() const = 0;
   virtual void do_rebase(const TokenSeq& tokens) = 0;
-  virtual Vector do_eval_swap(std::size_t pos, WordId candidate) = 0;
-  virtual Vector do_eval_tokens(const TokenSeq& tokens) = 0;
 
   /// Batched hooks: compute candidates[m] into out.row(rows[m]) for
-  /// m in [0, count). Defaults loop the per-candidate hooks; models
-  /// override with stacked-gemm implementations. Implementations must be
-  /// bit-identical to the per-candidate path and must consume any
-  /// stochastic state (MC-dropout RNG) in row order.
+  /// m in [0, count). Implementations must consume any stochastic state
+  /// (MC-dropout RNG) in row order.
   virtual void do_eval_swap_batch(const SwapCandidate* candidates,
                                   const std::size_t* rows, std::size_t count,
-                                  Matrix& out);
+                                  Matrix& out) = 0;
   virtual void do_eval_tokens_batch(const TokenSeq* const* docs,
                                     const std::size_t* rows,
-                                    std::size_t count, Matrix& out);
+                                    std::size_t count, Matrix& out) = 0;
+
+  /// Per-candidate hooks behind eval_swap / eval_tokens. The defaults run
+  /// a batch of one through the hooks above and read only their arguments
+  /// and base_tokens_, so a wrapper that sets base_tokens_ itself can rely
+  /// on them.
+  virtual Vector do_eval_swap(std::size_t pos, WordId candidate);
+  virtual Vector do_eval_tokens(const TokenSeq& tokens);
 
   /// Impls whose forward is stochastic (MC dropout) clear this so the
   /// cache is bypassed — memoizing a random draw would change results.
@@ -156,6 +163,24 @@ class SwapEvaluator {
   QueryCache* active_cache() const;
   std::uint64_t swap_key(std::size_t pos, WordId candidate) const;
   void charge_one();
+
+  /// One lone query: served from the cache, or computed by `compute` and
+  /// counted, charged and cached as a miss.
+  template <typename Compute>
+  Vector serve_one(QueryCache* cache, std::uint64_t key, Compute&& compute);
+
+  /// Phase A of a batch: walks rows [0, count) in request order with the
+  /// per-candidate loops' control checks (deadline before every row,
+  /// budget before every miss), serving cache hits and in-batch aliases
+  /// into `out` and collecting the misses in miss_rows_ / miss_keys_.
+  /// `key_of(i)` is called once per reached row; its result is used only
+  /// when a cache is active.
+  template <typename KeyOf>
+  BatchStatus plan_batch(std::size_t count, Matrix& out, KeyOf&& key_of);
+
+  /// After the misses are scored into `out`: caches them (when a cache is
+  /// active) and copies the aliased rows.
+  void finish_batch(Matrix& out);
 
   const AttackControl* control_ = nullptr;
   std::size_t queries_ = 0;
@@ -172,15 +197,6 @@ class SwapEvaluator {
   std::unordered_map<std::uint64_t, std::size_t> pending_;
   std::vector<float> row_scratch_;
 };
-
-/// Benchmark/CI hook: when true, the batch entry points score their misses
-/// through the per-candidate do_eval_* path instead of the stacked-gemm
-/// overrides. Results are bit-identical either way (that is the batched
-/// contract); the switch exists so the bench-attack-sweep job can emit
-/// seed-path timing rows from the same binary. Not thread-safe: set it
-/// before spawning attack workers.
-void set_sequential_scoring(bool sequential);
-bool sequential_scoring();
 
 /// Text classifier over token-id sequences.
 class TextClassifier {
@@ -200,7 +216,8 @@ class TextClassifier {
 
   /// Batched predict_proba: one row per document, bit-identical to calling
   /// predict_proba per document (stochastic models consume RNG draws in
-  /// row order). Default loops; models override with stacked gemms.
+  /// row order). Forwarding wrappers override it; the models keep the
+  /// default loop, their batched scoring lives in make_swap_evaluator.
   virtual Matrix predict_proba_batch(const std::vector<TokenSeq>& docs) const;
 
   /// Probability of a single class.

@@ -126,51 +126,6 @@ Vector WCnn::predict_proba(const TokenSeq& tokens) const {
   return softmax(output_logits(pooled));
 }
 
-Matrix WCnn::predict_proba_batch(const std::vector<TokenSeq>& docs) const {
-  const std::size_t count = docs.size();
-  Matrix out(count, config_.num_classes);
-  if (count == 0) return out;
-  const std::size_t dim = config_.embed_dim;
-  const std::size_t span = config_.kernel * dim;
-  const std::size_t nf = config_.num_filters;
-  // Stack every window of every document; one gemm convolves them all.
-  std::vector<std::size_t> win_start(count + 1);
-  std::vector<Matrix> embedded(count);
-  std::size_t total = 0;
-  for (std::size_t m = 0; m < count; ++m) {
-    embedded[m] = embedding_.lookup(padded(docs[m]));
-    win_start[m] = total;
-    total += embedded[m].rows() - config_.kernel + 1;
-  }
-  win_start[count] = total;
-  Matrix windows(total, span);
-  for (std::size_t m = 0; m < count; ++m) {
-    const std::size_t nw = win_start[m + 1] - win_start[m];
-    for (std::size_t w = 0; w < nw; ++w) {
-      const float* src = embedded[m].row(w);  // rows are contiguous
-      std::copy(src, src + span, windows.row(win_start[m] + w));
-    }
-  }
-  Matrix preact(total, nf);
-  window_preact_batch(windows.data(), total, preact.data());
-  // Pool + (in document order, for the RNG stream) MC dropout.
-  Matrix pooled(count, nf);
-  for (std::size_t m = 0; m < count; ++m) {
-    float* prow = pooled.row(m);
-    std::fill(prow, prow + nf, -std::numeric_limits<float>::infinity());
-    for (std::size_t w = win_start[m]; w < win_start[m + 1]; ++w) {
-      const float* row = preact.row(w);
-      for (std::size_t f = 0; f < nf; ++f) {
-        const float a = std::max(0.0f, row[f]);  // ReLU
-        if (a > prow[f]) prow[f] = a;
-      }
-    }
-    apply_mc_dropout(prow, nf);
-  }
-  proba_from_pooled_batch(pooled.data(), count, out.data());
-  return out;
-}
-
 Matrix WCnn::input_gradient(const TokenSeq& tokens, std::size_t target,
                             Vector* proba) const {
   ADVTEXT_CHECK_SHAPE(target < config_.num_classes) << "WCnn::input_gradient: target out of range";
@@ -355,79 +310,11 @@ class WCnnSwapEvaluatorImpl : public SwapEvaluator {
     }
   }
 
-  Vector do_eval_swap(std::size_t pos, WordId candidate) override {
-    ADVTEXT_CHECK_SHAPE(pos < base_len_) << "eval_swap: position out of range";
-    const auto& cfg = model_.config();
-    const std::size_t nw = preact_.rows();
-    const std::size_t lo =
-        pos >= cfg.kernel - 1 ? pos - (cfg.kernel - 1) : 0;
-    const std::size_t hi = std::min(pos, nw - 1);
-
-    // Temporarily patch the embedding row, recompute affected windows.
-    const Vector saved = embedded_.row_copy(pos);
-    const float* cand_vec = model_.embedding().vector(candidate);
-    for (std::size_t d = 0; d < cfg.embed_dim; ++d) {
-      embedded_(pos, d) = cand_vec[d];
-    }
-    Vector pooled(cfg.num_filters);
-    std::vector<float> scratch(cfg.num_filters);
-    for (std::size_t f = 0; f < cfg.num_filters; ++f) {
-      pooled[f] = std::max(prefix_(lo, f), suffix_(hi + 1, f));
-    }
-    for (std::size_t i = lo; i <= hi; ++i) {
-      model_.window_preact(embedded_, i, scratch.data());
-      for (std::size_t f = 0; f < cfg.num_filters; ++f) {
-        pooled[f] = std::max(pooled[f], std::max(0.0f, scratch[f]));
-      }
-    }
-    embedded_.set_row(pos, saved);
-
-    model_.apply_mc_dropout(pooled);
-    return softmax(model_.output_logits(pooled));
-  }
-
-  Vector do_eval_tokens(const TokenSeq& tokens) override {
-    // Multi-position candidate: recompute only windows covering changed
-    // positions, take the column max with cached unaffected windows.
-    if (tokens.size() != base_len_) return model_.predict_proba(tokens);
-    const auto& cfg = model_.config();
-    const std::size_t nw = preact_.rows();
-    std::vector<bool> dirty(nw, false);
-    std::vector<std::pair<std::size_t, Vector>> patched;
-    for (std::size_t i = 0; i < tokens.size(); ++i) {
-      if (tokens[i] == padded_[i]) continue;
-      patched.emplace_back(i, embedded_.row_copy(i));
-      const float* cand = model_.embedding().vector(tokens[i]);
-      for (std::size_t d = 0; d < cfg.embed_dim; ++d) {
-        embedded_(i, d) = cand[d];
-      }
-      const std::size_t lo = i >= cfg.kernel - 1 ? i - (cfg.kernel - 1) : 0;
-      const std::size_t hi = std::min(i, nw - 1);
-      for (std::size_t w = lo; w <= hi; ++w) dirty[w] = true;
-    }
-    Vector pooled(cfg.num_filters, 0.0f);
-    std::vector<float> scratch(cfg.num_filters);
-    for (std::size_t w = 0; w < nw; ++w) {
-      const float* row = preact_.row(w);
-      if (dirty[w]) {
-        model_.window_preact(embedded_, w, scratch.data());
-        row = scratch.data();
-      }
-      for (std::size_t f = 0; f < cfg.num_filters; ++f) {
-        pooled[f] = std::max(pooled[f], std::max(0.0f, row[f]));
-      }
-    }
-    for (auto& [i, saved] : patched) embedded_.set_row(i, saved);
-
-    model_.apply_mc_dropout(pooled);
-    return softmax(model_.output_logits(pooled));
-  }
-
   // Batched candidate scoring: every affected window of every candidate
   // (at most `kernel` each) is stacked into one matrix and re-convolved by
   // a single gemm; pooling then reads the cached prefix/suffix maxima per
-  // row. MC-dropout draws happen per row in request order, so the RNG
-  // stream matches the sequential path exactly.
+  // row. MC-dropout draws happen per row in request order, as a
+  // predict_proba per row would draw them.
   void do_eval_swap_batch(const SwapCandidate* candidates,
                           const std::size_t* rows, std::size_t count,
                           Matrix& out) override {
@@ -544,8 +431,8 @@ class WCnnSwapEvaluatorImpl : public SwapEvaluator {
     if (total > 0) {
       model_.window_preact_batch(wins_.data(), total, wpre_.data());
     }
-    // Pass 2, in request order so MC-dropout draws match the sequential
-    // path: fallbacks run a full forward; cached rows pool from clean
+    // Pass 2, in request order so MC-dropout draws match a predict_proba
+    // per row: fallbacks run a full forward; cached rows pool from clean
     // preacts plus the re-convolved dirty windows.
     if (pooled_.rows() < count || pooled_.cols() != nf) {
       pooled_ = Matrix(count, nf);

@@ -44,7 +44,6 @@ class WCnn final : public TrainableClassifier {
   }
 
   Vector predict_proba(const TokenSeq& tokens) const override;
-  Matrix predict_proba_batch(const std::vector<TokenSeq>& docs) const override;
   Matrix input_gradient(const TokenSeq& tokens, std::size_t target,
                         Vector* proba = nullptr) const override;
   std::unique_ptr<SwapEvaluator> make_swap_evaluator(
@@ -96,9 +95,9 @@ class WCnn final : public TrainableClassifier {
   void apply_mc_dropout(float* pooled, std::size_t n) const;
 
   // Batched forward pieces. Each output element is the same dot+bias the
-  // scalar helpers compute, so batched == per-candidate bit-for-bit; the
-  // batched evaluator stacks every affected window of a whole candidate
-  // set into one gemm.
+  // scalar helpers compute, so the evaluator's batches equal predict_proba
+  // and input_gradient's forward bit for bit; the evaluator stacks every
+  // affected window of a whole candidate set into one gemm.
 
   /// Re-convolves m stacked windows (m x kernel*D) into pre-activations
   /// (m x F); row i equals window_preact on window i.

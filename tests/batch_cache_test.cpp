@@ -1,11 +1,12 @@
-// Batched candidate scoring + query cache tests: the batched evaluator
-// entry points must be bit-identical to the per-candidate loops for every
-// model family; attaching a QueryCache must change work and charges but
-// never results; the budget is charged on cache misses only; LRU eviction
-// under a tight MemoryBudget is deterministic; and a SIGTERM-interrupted
-// sweep with the cache enabled resumes bitwise, even across the
-// cache-on/cache-off boundary (the checkpoint format carries no cache
-// state by design).
+// Batched candidate scoring + query cache tests: every scoring entry point
+// of the WCNN, LSTM and GRU evaluators (swap and tokens batches, lone
+// eval_swap / eval_tokens) and predict_proba must equal the training
+// forward — the probabilities input_gradient returns — bit for bit;
+// attaching a QueryCache must change work and charges but never results;
+// the budget is charged on cache misses only; LRU eviction under a tight
+// MemoryBudget is deterministic; and a SIGTERM-interrupted sweep with the
+// cache enabled resumes bitwise, even across the cache-on/cache-off
+// boundary (the checkpoint format carries no cache state by design).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -45,7 +46,8 @@ TokenSeq sample_tokens(std::size_t length, std::uint64_t seed) {
   return tokens;
 }
 
-std::vector<std::unique_ptr<TextClassifier>> all_models() {
+// The families whose evaluators must match the training forward bitwise.
+std::vector<std::unique_ptr<TextClassifier>> forward_models() {
   std::vector<std::unique_ptr<TextClassifier>> models;
   WCnnConfig wcnn;
   wcnn.embed_dim = task().config.embedding_dim;
@@ -61,85 +63,190 @@ std::vector<std::unique_ptr<TextClassifier>> all_models() {
   gru.hidden = 16;
   models.push_back(
       std::make_unique<GruClassifier>(gru, Matrix(task().paragram)));
-  BowClassifierConfig bow;
-  bow.vocab_size = static_cast<std::size_t>(task().vocab.size());
-  models.push_back(std::make_unique<BowClassifier>(bow));
   return models;
+}
+
+const char* family(std::size_t index) {
+  static const char* const kNames[] = {"wcnn", "lstm", "gru"};
+  return kNames[index];
 }
 
 // Batch sizes on both sides of the kScoreChunkRows = 64 attack chunking:
 // a single row and a sweep larger than one chunk.
 constexpr std::size_t kBatchSizes[] = {1, 80};
 
-// eval_swap_batch == per-candidate eval_swap, float-for-float, for every
-// model family and on both the batched-gemm and (via the bench switch)
-// the sequential scoring path. No control bound: unlimited and uncached.
-TEST(BatchedScoring, SwapBatchMatchesSequentialBitwise) {
-  const TokenSeq base = sample_tokens(40, 7);
-  for (const auto& model : all_models()) {
-    auto batched = model->make_swap_evaluator(base);
-    auto sequential = model->make_swap_evaluator(base);
-    for (const std::size_t batch : kBatchSizes) {
-      SCOPED_TRACE(testing::Message()
-                   << "classes=" << model->num_classes()
-                   << " batch=" << batch);
-      std::vector<SwapCandidate> candidates;
-      for (std::size_t i = 0; i < batch; ++i) {
-        candidates.push_back({i % base.size(),
-                              static_cast<WordId>(3 + i / base.size())});
+std::vector<SwapCandidate> swap_candidates(const TokenSeq& base,
+                                           std::size_t batch) {
+  std::vector<SwapCandidate> candidates;
+  for (std::size_t i = 0; i < batch; ++i) {
+    candidates.push_back({i % base.size(),
+                          static_cast<WordId>(3 + i / base.size())});
+  }
+  return candidates;
+}
+
+// Every kind of row the tokens batch meets: same-length edits at one to
+// four positions (the sentence attack's and the joint beam's rows, scored
+// from the cached prefix), the base itself, a strict prefix of it, the
+// base extended, and unrelated documents shorter and longer than it.
+std::vector<TokenSeq> tokens_docs(const TokenSeq& base, std::size_t batch) {
+  std::vector<TokenSeq> docs;
+  Rng rng(batch);
+  for (std::size_t i = 0; docs.size() < batch; ++i) {
+    TokenSeq doc;
+    switch (i % 8) {
+      case 0:
+        doc = base;
+        break;
+      case 1:
+        doc.assign(base.begin(), base.begin() + 1 + i % (base.size() - 1));
+        break;
+      case 2:
+        doc = base;
+        doc.push_back(static_cast<WordId>(5 + i % 11));
+        doc.push_back(base.front());
+        break;
+      case 3:
+        doc = sample_tokens(20 + i % 7, 100 + i);
+        break;
+      case 4:
+        doc = sample_tokens(base.size() + 3, 200 + i);
+        break;
+      default: {
+        doc = base;
+        const std::size_t edits = 1 + i % 4;
+        for (std::size_t e = 0; e < edits; ++e) {
+          const std::size_t pos = rng.uniform_index(doc.size());
+          doc[pos] = static_cast<WordId>(2 + rng.uniform_index(40));
+        }
+        break;
       }
-      Matrix scores;
-      const BatchStatus status =
-          batched->eval_swap_batch(candidates, scores);
-      EXPECT_EQ(status.evaluated, batch);
-      EXPECT_FALSE(status.truncated());
+    }
+    docs.push_back(std::move(doc));
+  }
+  return docs;
+}
 
-      set_sequential_scoring(true);
-      Matrix seed_scores;
-      const BatchStatus seed_status =
-          batched->eval_swap_batch(candidates, seed_scores);
-      set_sequential_scoring(false);
-      EXPECT_EQ(seed_status.evaluated, batch);
+// The training forward's probabilities: the parity oracle.
+Vector oracle(const TextClassifier& model, const TokenSeq& tokens) {
+  Vector proba;
+  (void)model.input_gradient(tokens, 0, &proba);
+  return proba;
+}
 
-      for (std::size_t i = 0; i < batch; ++i) {
-        const Vector row =
-            sequential->eval_swap(candidates[i].pos, candidates[i].word);
-        ASSERT_EQ(row.size(), scores.cols());
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          EXPECT_EQ(scores(i, c), row[c])
-              << "batched row " << i << " class " << c << " diverged";
-          EXPECT_EQ(seed_scores(i, c), row[c])
-              << "seed-path row " << i << " class " << c << " diverged";
+void expect_bitwise(const Vector& expected, const float* got,
+                    const std::string& what) {
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    EXPECT_EQ(got[c], expected[c]) << what << " class " << c << " diverged";
+  }
+}
+
+// eval_swap_batch, lone eval_swap and predict_proba == the training
+// forward, float for float, for every gradient family, on a fresh
+// evaluator and after a rebase. No control bound: unlimited and uncached.
+TEST(BatchedScoring, SwapBatchMatchesTrainingForwardBitwise) {
+  TokenSeq base = sample_tokens(40, 7);
+  const auto models = forward_models();
+  for (std::size_t f = 0; f < models.size(); ++f) {
+    const TextClassifier& model = *models[f];
+    auto batched = model.make_swap_evaluator(base);
+    auto lone = model.make_swap_evaluator(base);
+    for (const bool rebased : {false, true}) {
+      TokenSeq current = base;
+      if (rebased) {
+        current[3] = 17;
+        current[29] = 8;
+        batched->rebase(current);
+        lone->rebase(current);
+      }
+      for (const std::size_t batch : kBatchSizes) {
+        SCOPED_TRACE(testing::Message() << family(f) << " batch=" << batch
+                                        << " rebased=" << rebased);
+        const std::vector<SwapCandidate> candidates =
+            swap_candidates(current, batch);
+        Matrix scores;
+        const BatchStatus status = batched->eval_swap_batch(candidates, scores);
+        EXPECT_EQ(status.evaluated, batch);
+        EXPECT_FALSE(status.truncated());
+        for (std::size_t i = 0; i < batch; ++i) {
+          TokenSeq swapped = current;
+          swapped[candidates[i].pos] = candidates[i].word;
+          const Vector expected = oracle(model, swapped);
+          ASSERT_EQ(expected.size(), scores.cols());
+          const std::string row = "row " + std::to_string(i);
+          expect_bitwise(expected, scores.row(i), "swap batch " + row);
+          expect_bitwise(expected,
+                         lone->eval_swap(candidates[i].pos,
+                                         candidates[i].word).data(),
+                         "lone eval_swap " + row);
+          expect_bitwise(expected, model.predict_proba(swapped).data(),
+                         "predict_proba " + row);
         }
       }
     }
   }
 }
 
-TEST(BatchedScoring, TokensBatchMatchesSequentialBitwise) {
+// eval_tokens_batch (same-length multi-position edits from the cached
+// prefix, the base itself, and length-changed documents), lone
+// eval_tokens and predict_proba == the training forward, bitwise.
+TEST(BatchedScoring, TokensBatchMatchesTrainingForwardBitwise) {
   const TokenSeq base = sample_tokens(40, 11);
-  for (const auto& model : all_models()) {
-    auto batched = model->make_swap_evaluator(base);
-    auto sequential = model->make_swap_evaluator(base);
-    for (const std::size_t batch : kBatchSizes) {
-      SCOPED_TRACE(testing::Message()
-                   << "classes=" << model->num_classes()
-                   << " batch=" << batch);
-      std::vector<TokenSeq> docs;
-      for (std::size_t i = 0; i < batch; ++i) {
-        docs.push_back(sample_tokens(20 + i % 7, 100 + i));
-      }
+  const auto models = forward_models();
+  for (std::size_t f = 0; f < models.size(); ++f) {
+    const TextClassifier& model = *models[f];
+    auto batched = model.make_swap_evaluator(base);
+    auto lone = model.make_swap_evaluator(base);
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{8},
+                                    std::size_t{80}}) {
+      SCOPED_TRACE(testing::Message() << family(f) << " batch=" << batch);
+      const std::vector<TokenSeq> docs = tokens_docs(base, batch);
       Matrix scores;
       const BatchStatus status = batched->eval_tokens_batch(docs, scores);
       EXPECT_EQ(status.evaluated, batch);
       for (std::size_t i = 0; i < batch; ++i) {
-        const Vector row = sequential->eval_tokens(docs[i]);
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          EXPECT_EQ(scores(i, c), row[c])
-              << "batched row " << i << " class " << c << " diverged";
-        }
+        const Vector expected = oracle(model, docs[i]);
+        const std::string row = "row " + std::to_string(i) + " (" +
+                                std::to_string(docs[i].size()) + " tokens)";
+        expect_bitwise(expected, scores.row(i), "tokens batch " + row);
+        expect_bitwise(expected, lone->eval_tokens(docs[i]).data(),
+                       "lone eval_tokens " + row);
+        expect_bitwise(expected, model.predict_proba(docs[i]).data(),
+                       "predict_proba " + row);
       }
     }
+  }
+}
+
+// BoW's incremental swap logits (base logits plus a weight difference)
+// are not the full sum, so its batches are pinned to a batch of one
+// bitwise and to predict_proba within float tolerance.
+TEST(BatchedScoring, BowBatchesMatchBatchOfOneAndPredictProba) {
+  BowClassifierConfig config;
+  config.vocab_size = static_cast<std::size_t>(task().vocab.size());
+  const BowClassifier model(config);
+  const TokenSeq base = sample_tokens(40, 13);
+  auto batched = model.make_swap_evaluator(base);
+  auto lone = model.make_swap_evaluator(base);
+  const std::vector<SwapCandidate> candidates = swap_candidates(base, 80);
+  Matrix scores;
+  EXPECT_EQ(batched->eval_swap_batch(candidates, scores).evaluated, 80u);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const Vector one = lone->eval_swap(candidates[i].pos, candidates[i].word);
+    expect_bitwise(one, scores.row(i), "bow swap row " + std::to_string(i));
+    TokenSeq swapped = base;
+    swapped[candidates[i].pos] = candidates[i].word;
+    const Vector full = model.predict_proba(swapped);
+    for (std::size_t c = 0; c < full.size(); ++c) {
+      EXPECT_NEAR(scores(i, c), full[c], 1e-5) << "bow swap row " << i;
+    }
+  }
+  const std::vector<TokenSeq> docs = tokens_docs(base, 16);
+  EXPECT_EQ(batched->eval_tokens_batch(docs, scores).evaluated, 16u);
+  for (std::size_t i = 0; i < docs.size(); ++i) {
+    const std::string row = "bow tokens row " + std::to_string(i);
+    expect_bitwise(lone->eval_tokens(docs[i]), scores.row(i), row);
+    expect_bitwise(model.predict_proba(docs[i]), scores.row(i), row);
   }
 }
 
@@ -389,6 +496,40 @@ TEST_F(BatchCachePipelineFixture, CacheOnOffSweepsAreBitwiseIdentical) {
   EXPECT_EQ(cached.queries_saved, cached.cache_hits);
   EXPECT_EQ(cached.cache_hits + cached.cache_misses,
             uncached.cache_misses);
+}
+
+// Query accounting closes for every word method: each per-document record
+// reports hits + misses == queries, with and without the cache. Forwards
+// outside the evaluator (the gradient method's verification forward)
+// count as misses, as they are computed and never cached.
+TEST_F(BatchCachePipelineFixture, EveryWordMethodRecordAccountsEveryQuery) {
+  for (const WordAttackMethod method :
+       {WordAttackMethod::kGradientGuidedGreedy,
+        WordAttackMethod::kObjectiveGreedy, WordAttackMethod::kGradient}) {
+    for (const std::size_t cache_bytes : {std::size_t{0}, std::size_t{32} << 20}) {
+      AttackEvalConfig config = sweep_config(6, cache_bytes);
+      config.joint.word_method = method;
+      const AttackEvalResult result = run(config);
+      ASSERT_FALSE(result.attacks.empty());
+      for (std::size_t i = 0; i < result.attacks.size(); ++i) {
+        const JointAttackResult& r = result.attacks[i];
+        EXPECT_EQ(r.cache_hits + r.cache_misses, r.queries)
+            << "method " << static_cast<int>(method) << " cache "
+            << cache_bytes << " record " << i;
+      }
+    }
+  }
+  // Both phases off: the joint attack's own verification forward is the
+  // only query.
+  JointAttackConfig config;
+  config.enable_sentence = false;
+  config.enable_word = false;
+  const Document& doc = task_->test.docs.front();
+  const JointAttackResult r = joint_attack(
+      *model_, doc, 1 - static_cast<std::size_t>(doc.label),
+      context_->resources(), config);
+  EXPECT_EQ(r.queries, 1u);
+  EXPECT_EQ(r.cache_hits + r.cache_misses, r.queries);
 }
 
 // Forwards every oracle bitwise but raises SIGTERM on the Nth

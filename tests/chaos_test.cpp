@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/core/joint_attack.h"
+#include "src/core/lazy_greedy_attack.h"
 #include "src/data/synthetic.h"
 #include "src/eval/pipeline.h"
 #include "src/nn/checkpoint.h"
@@ -440,6 +441,23 @@ TEST_F(ChaosAttackFixture, EveryWordMethodHonorsAnExpiredDeadlinePromptly) {
     // Best-so-far contract: a structurally valid document comes back.
     EXPECT_EQ(result.adv_doc.sentences.size(), doc.sentences.size());
   }
+
+  // Lazy greedy is not a joint-attack method; drive it directly.
+  const TokenSeq tokens = doc.flatten();
+  WordCandidates candidates;
+  candidates.per_position =
+      context_->word_index().candidates_for(tokens, &context_->lm());
+  LazyGreedyAttackConfig lazy_config;
+  lazy_config.success_threshold = 1.1;
+  AttackControl control;
+  control.deadline = Deadline::after_ms(-1.0);  // already expired
+  Stopwatch clock;
+  const WordAttackResult lazy = lazy_greedy_attack(
+      *model_, tokens, candidates, target, lazy_config, control);
+  EXPECT_EQ(lazy.termination, TerminationReason::kDeadlineExceeded);
+  EXPECT_FALSE(lazy.success);
+  EXPECT_LT(clock.elapsed_ms(), 2000.0);
+  EXPECT_EQ(lazy.adv_tokens, tokens);
 }
 
 TEST_F(ChaosAttackFixture, JointQueryBudgetExhaustionIsTypedAndPrompt) {

@@ -11,6 +11,7 @@
 #include "src/core/gradient_attack.h"
 #include "src/core/gradient_guided_greedy.h"
 #include "src/core/joint_attack.h"
+#include "src/core/lazy_greedy_attack.h"
 #include "src/core/objective_greedy.h"
 #include "src/core/sentence_attack.h"
 #include "src/data/synthetic.h"
@@ -283,6 +284,11 @@ TEST_F(RobustnessFixture, ExpiredDeadlineStopsEveryWordAttack) {
       *model_, tokens, candidates, target, gradient_config, control);
   EXPECT_EQ(gradient.termination, TerminationReason::kDeadlineExceeded);
   EXPECT_EQ(gradient.adv_tokens, tokens);
+
+  const WordAttackResult lazy = lazy_greedy_attack(
+      *model_, tokens, candidates, target, {}, control);
+  EXPECT_EQ(lazy.termination, TerminationReason::kDeadlineExceeded);
+  EXPECT_EQ(lazy.adv_tokens, tokens);
 }
 
 TEST_F(RobustnessFixture, TinyQueryBudgetStopsWordAttacks) {
@@ -315,6 +321,14 @@ TEST_F(RobustnessFixture, TinyQueryBudgetStopsWordAttacks) {
   const WordAttackResult gradient = gradient_attack(
       *model_, tokens, candidates, target, gradient_config, control);
   EXPECT_EQ(gradient.termination, TerminationReason::kBudgetExhausted);
+
+  QueryBudget lazy_budget(1);
+  control.budget = &lazy_budget;
+  const WordAttackResult lazy = lazy_greedy_attack(
+      *model_, tokens, candidates, target, {}, control);
+  EXPECT_EQ(lazy.termination, TerminationReason::kBudgetExhausted);
+  EXPECT_EQ(lazy.adv_tokens, tokens);
+  EXPECT_EQ(lazy.budget_charged, lazy_budget.used());
 }
 
 TEST_F(RobustnessFixture, ExpiredDeadlineStopsSentenceAndJointAttack) {
