@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/search_shell.h"
 #include "src/util/det_accum.h"
-#include "src/util/stopwatch.h"
 
 namespace advtext {
 
@@ -15,7 +15,9 @@ WordAttackResult gradient_attack(const TextClassifier& model,
                                  const GradientAttackConfig& config,
                                  const AttackControl& control) {
   FaultInjector::instance().maybe_fault("attack.word");
-  Stopwatch watch;
+  // Scores no candidates, so the shell makes no evaluator (that would cost
+  // a base forward per document).
+  SearchShell shell(control);
   WordAttackResult result;
   result.adv_tokens = tokens;
   const std::size_t n = tokens.size();
@@ -24,15 +26,12 @@ WordAttackResult gradient_attack(const TextClassifier& model,
   const Matrix& table = model.embedding_table();
   const std::size_t dim = model.embedding_dim();
 
-  bool out_of_time = false;
-  bool out_of_budget = false;
   Vector proba;
   for (std::size_t round = 0; round < std::max<std::size_t>(1, config.rounds);
        ++round) {
     // The per-round work is gradient-dominated (no per-candidate forward
     // passes), so round granularity is the natural check point.
-    if ((out_of_time = control.deadline.expired())) break;
-    if ((out_of_budget = control.budget_exhausted())) break;
+    if (shell.poll()) break;
     const std::size_t already_changed = count_changes(tokens,
                                                       result.adv_tokens);
     if (already_changed >= budget) break;
@@ -40,7 +39,7 @@ WordAttackResult gradient_attack(const TextClassifier& model,
     const Matrix grad =
         model.input_gradient(result.adv_tokens, target, &proba);
     ++result.gradient_calls;
-    control.charge(1);  // a gradient call embeds one forward pass
+    shell.charge_direct(1);  // a gradient call embeds one forward pass
     ++result.iterations;
     if (proba[target] >= config.success_threshold) break;
 
@@ -119,27 +118,12 @@ WordAttackResult gradient_attack(const TextClassifier& model,
     result.adv_tokens = std::move(proposal);
   }
 
-  if (out_of_time) {
-    result.termination = TerminationReason::kDeadlineExceeded;
-  } else if (out_of_budget) {
-    result.termination = TerminationReason::kBudgetExhausted;
-  }
   result.final_target_proba =
       model.class_probability(result.adv_tokens, target);
-  // The verification forward is computed, never cached: one query, one
-  // miss, so hits + misses == queries as for every other word method.
-  ++result.queries;
-  ++result.cache_misses;
-  control.charge(1);
-  // Every charge here is explicit (gradient calls + the verification
-  // forward above); record them so callers can reconcile the budget.
-  if (control.budget != nullptr) {
-    result.budget_charged = result.gradient_calls + 1;
-  }
-  result.success = result.final_target_proba >= config.success_threshold;
-  if (result.success) result.termination = TerminationReason::kSucceeded;
+  // The verification forward is counted: one query, one miss.
+  shell.count_direct(1);
   result.words_changed = count_changes(tokens, result.adv_tokens);
-  result.seconds = watch.elapsed_seconds();
+  shell.finish(result, config.success_threshold);
   return result;
 }
 

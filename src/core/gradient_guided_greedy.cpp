@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/core/search_shell.h"
 #include "src/util/det_accum.h"
-#include "src/util/stopwatch.h"
 
 namespace advtext {
 
@@ -13,28 +13,19 @@ WordAttackResult gradient_guided_greedy_attack(
     const WordCandidates& candidates, std::size_t target,
     const GradientGuidedGreedyConfig& config, const AttackControl& control) {
   FaultInjector::instance().maybe_fault("attack.word");
-  Stopwatch watch;
+  SearchShell shell(model, tokens, control);
   WordAttackResult result;
   result.adv_tokens = tokens;
   const std::size_t n = tokens.size();
   const std::size_t budget = static_cast<std::size_t>(
       std::ceil(config.max_replace_fraction * static_cast<double>(n)));
 
-  auto evaluator = model.make_swap_evaluator(result.adv_tokens);
-  // The shell charges the budget per cache miss and polls the deadline per
-  // row; gradient calls still charge their embedded forward explicitly.
-  evaluator->bind_control(&control);
   std::vector<bool> replaced(n, false);
   Vector proba;
-
-  bool out_of_time = false;
-  bool out_of_budget = false;
   std::vector<TokenSeq> trial;
-  Matrix trial_scores;
 
   while (result.iterations < config.max_iterations) {
-    if ((out_of_time = control.deadline.expired())) break;
-    if ((out_of_budget = control.budget_exhausted())) break;
+    if (shell.poll()) break;
     const std::size_t changed = count_changes(tokens, result.adv_tokens);
     if (changed >= budget) break;
 
@@ -42,7 +33,7 @@ WordAttackResult gradient_guided_greedy_attack(
     const Matrix grad =
         model.input_gradient(result.adv_tokens, target, &proba);
     ++result.gradient_calls;
-    control.charge(1);  // a gradient call embeds one forward pass
+    shell.charge_direct(1);  // a gradient call embeds one forward pass
     if (proba[target] >= config.success_threshold) break;
     ++result.iterations;
 
@@ -88,14 +79,12 @@ WordAttackResult gradient_guided_greedy_attack(
     };
     std::vector<Candidate> pool;
     pool.push_back({result.adv_tokens, proba[target]});
-    for (std::size_t t = 0; t < take && !out_of_time && !out_of_budget;
-         ++t) {
+    for (std::size_t t = 0; t < take && !shell.limit_hit(); ++t) {
       const std::size_t pos = scores[t].pos;
-      // Materialize every expansion of the current pool at this position
-      // and score them through batched evaluator calls — one gemm per
-      // layer per chunk. A limit hit abandons the expansion mid-batch;
-      // already-scored pool members (and already-evaluated rows) are
-      // still eligible for the commit below (best-so-far semantics).
+      // Score every expansion of the current pool at this position. A
+      // limit hit abandons the expansion mid-batch; already-scored pool
+      // members (and already-evaluated rows) are still eligible for the
+      // commit below (best-so-far semantics).
       trial.clear();
       for (const Candidate& base : pool) {
         for (WordId cand : candidates.per_position[pos]) {
@@ -105,22 +94,9 @@ WordAttackResult gradient_guided_greedy_attack(
         }
       }
       std::vector<Candidate> expanded;
-      for (std::size_t off = 0;
-           off < trial.size() && !out_of_time && !out_of_budget;
-           off += kScoreChunkRows) {
-        const std::size_t len = std::min(kScoreChunkRows, trial.size() - off);
-        const BatchStatus status =
-            evaluator->eval_tokens_batch(trial.data() + off, len,
-                                         trial_scores);
-        for (std::size_t i = 0; i < status.evaluated; ++i) {
-          Candidate next;
-          next.tokens = std::move(trial[off + i]);
-          next.proba = trial_scores(i, target);
-          expanded.push_back(std::move(next));
-        }
-        out_of_time = status.out_of_time;
-        out_of_budget = status.out_of_budget;
-      }
+      shell.score(trial, [&](std::size_t i, const float* row) {
+        expanded.push_back({std::move(trial[i]), row[target]});
+      });
       pool.insert(pool.end(), std::make_move_iterator(expanded.begin()),
                   std::make_move_iterator(expanded.end()));
       if (config.beam_cap > 0 && pool.size() > config.beam_cap) {
@@ -145,35 +121,16 @@ WordAttackResult gradient_guided_greedy_attack(
       if (best->tokens[i] != result.adv_tokens[i]) replaced[i] = true;
     }
     result.adv_tokens = best->tokens;
-    evaluator->rebase(result.adv_tokens);
+    shell.evaluator().rebase(result.adv_tokens);
     if (best->proba >= config.success_threshold) break;
-    if (out_of_time || out_of_budget) break;
+    if (shell.limit_hit()) break;
   }
 
-  if (out_of_time) {
-    result.termination = TerminationReason::kDeadlineExceeded;
-  } else if (out_of_budget) {
-    result.termination = TerminationReason::kBudgetExhausted;
-  }
-  result.queries = evaluator->queries();
-  result.cache_hits = evaluator->cache_hits();
-  result.cache_misses = evaluator->cache_misses();
-  result.budget_charged = evaluator->budget_charged();
-  ADVTEXT_DCHECK(result.queries == result.cache_hits + result.cache_misses)
-      << "ggg: query accounting drift (" << result.queries
-      << " != " << result.cache_hits << " + " << result.cache_misses << ")";
   result.final_target_proba =
       model.class_probability(result.adv_tokens, target);
-  control.charge(1);
-  // Gradient calls and the final verification forward charge the budget
-  // directly (charge() no-ops without one, so mirror that here).
-  if (control.budget != nullptr) {
-    result.budget_charged += result.gradient_calls + 1;
-  }
-  result.success = result.final_target_proba >= config.success_threshold;
-  if (result.success) result.termination = TerminationReason::kSucceeded;
+  shell.charge_direct(1);
   result.words_changed = count_changes(tokens, result.adv_tokens);
-  result.seconds = watch.elapsed_seconds();
+  shell.finish(result, config.success_threshold);
   return result;
 }
 

@@ -1,9 +1,10 @@
 #include "src/core/joint_attack.h"
 
 #include <stdexcept>
+#include <utility>
 
+#include "src/core/search_shell.h"
 #include "src/util/robust.h"
-#include "src/util/stopwatch.h"
 
 namespace advtext {
 
@@ -11,12 +12,11 @@ JointAttackResult joint_attack(const TextClassifier& model,
                                const Document& doc, std::size_t target,
                                const AttackResources& resources,
                                const JointAttackConfig& config) {
-  Stopwatch watch;
   JointAttackResult result;
   result.adv_doc = doc;
 
-  // Both phases draw on one shared deadline and query budget; the phase
-  // terminations are folded together with worse_of below.
+  // Both phases draw on one shared deadline and query budget; each phase
+  // folds into the result, terminations by severity.
   QueryBudget budget(config.max_queries);
   AttackControl control;
   if (config.deadline_ms > 0.0) {
@@ -24,12 +24,15 @@ JointAttackResult joint_attack(const TextClassifier& model,
   }
   control.budget = &budget;
   control.cache = resources.query_cache;
+  SearchShell shell(control);
   // Every query charge flows through `budget`; the phases report what they
   // charged, so the shared pool must reconcile exactly at every exit.
-  const auto reconcile = [&budget](const JointAttackResult& r) {
-    ADVTEXT_DCHECK(budget.used() == r.budget_charged)
+  const auto finish = [&] {
+    shell.finish(result, config.success_threshold);
+    ADVTEXT_DCHECK(budget.used() == result.budget_charged)
         << "joint_attack: budget drift (" << budget.used()
-        << " used != " << r.budget_charged << " charged)";
+        << " used != " << result.budget_charged << " charged)";
+    return std::move(result);
   };
 
   // ---- Phase 1: sentence paraphrasing (Alg. 1 steps 2-5) ----
@@ -48,25 +51,14 @@ JointAttackResult joint_attack(const TextClassifier& model,
         control);
     result.adv_doc = sentence_result.adv_doc;
     result.sentences_changed = sentence_result.sentences_changed;
-    result.queries += sentence_result.queries;
-    result.cache_hits += sentence_result.cache_hits;
-    result.cache_misses += sentence_result.cache_misses;
-    result.budget_charged += sentence_result.budget_charged;
-    result.final_target_proba = sentence_result.final_target_proba;
-    result.termination =
-        worse_of(result.termination, sentence_result.termination);
-    if (sentence_result.success) {
-      result.success = true;
-      result.termination = TerminationReason::kSucceeded;
-      result.seconds = watch.elapsed_seconds();
-      reconcile(result);
-      return result;
-    }
+    result.fold(sentence_result);
+    if (result.success) return finish();
   }
 
   // ---- Phase 2: word paraphrasing (Alg. 1 steps 6-9) ----
-  const bool limits_hit =
-      control.deadline.expired() || control.budget_exhausted();
+  // A limit the sentence phase (or the deadline itself) used up before the
+  // word phase could start is recorded here and folds in at finish.
+  const bool limits_hit = shell.poll();
   if (config.enable_word && config.word_fraction > 0.0 && !limits_hit) {
     if (resources.word_index == nullptr) {
       throw std::invalid_argument(
@@ -141,43 +133,18 @@ JointAttackResult joint_attack(const TextClassifier& model,
         for (WordId& word : sentence) word = word_result.adv_tokens[flat++];
       }
       result.words_changed = word_result.words_changed;
-      result.queries += word_result.queries;
-      result.cache_hits += word_result.cache_hits;
-      result.cache_misses += word_result.cache_misses;
-      result.budget_charged += word_result.budget_charged;
-      result.final_target_proba = word_result.final_target_proba;
-      result.success = word_result.success;
-      result.termination = word_result.success
-                               ? TerminationReason::kSucceeded
-                               : worse_of(result.termination,
-                                          word_result.termination);
-      result.seconds = watch.elapsed_seconds();
-      reconcile(result);
-      return result;
+      result.fold(word_result);
+      return finish();
     }
   }
 
-  if (limits_hit) {
-    // The sentence phase (or the deadline itself) consumed the limits
-    // before the word phase could start.
-    result.termination = worse_of(
-        result.termination, control.deadline.expired()
-                                ? TerminationReason::kDeadlineExceeded
-                                : TerminationReason::kBudgetExhausted);
-  }
   if (result.final_target_proba == 0.0) {
+    // No phase scored the document: a counted verification forward.
     result.final_target_proba =
         model.class_probability(result.adv_doc.flatten(), target);
-    ++result.queries;
-    ++result.cache_misses;
-    control.charge(1);  // the verification eval draws on the shared budget
-    ++result.budget_charged;
+    shell.count_direct(1);
   }
-  result.success = result.final_target_proba >= config.success_threshold;
-  if (result.success) result.termination = TerminationReason::kSucceeded;
-  result.seconds = watch.elapsed_seconds();
-  reconcile(result);
-  return result;
+  return finish();
 }
 
 }  // namespace advtext

@@ -1,10 +1,9 @@
 #include "src/core/lazy_greedy_attack.h"
 
-#include <algorithm>
 #include <cmath>
 #include <queue>
 
-#include "src/util/stopwatch.h"
+#include "src/core/search_shell.h"
 
 namespace advtext {
 
@@ -14,21 +13,17 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
                                     std::size_t target,
                                     const LazyGreedyAttackConfig& config,
                                     const AttackControl& control) {
-  Stopwatch watch;
+  SearchShell shell(model, tokens, control);
   WordAttackResult result;
   result.adv_tokens = tokens;
   const std::size_t n = tokens.size();
   const std::size_t budget = static_cast<std::size_t>(
       std::ceil(config.max_replace_fraction * static_cast<double>(n)));
 
-  auto evaluator = model.make_swap_evaluator(result.adv_tokens);
-  evaluator->bind_control(&control);
   double current = model.class_probability(result.adv_tokens, target);
-  control.charge(1);
+  shell.charge_direct(1);
   std::vector<bool> replaced(n, false);
 
-  bool out_of_time = false;
-  bool out_of_budget = false;
   struct Entry {
     double gain;        // last-known gain (upper bound under submodularity)
     std::size_t pos;
@@ -37,11 +32,9 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
     bool operator<(const Entry& other) const { return gain < other.gain; }
   };
   std::priority_queue<Entry> heap;
-  // Initial exact gains from the clean document (round 0): the whole
-  // candidate set is known up front, so score it through batched evaluator
-  // calls (one gemm per layer per chunk) and push in the same (pos, word)
-  // order the per-candidate loop used. The lazy per-round refreshes below
-  // stay sequential — each pop depends on the previous one's result.
+  // Initial exact gains from the clean document (round 0), pushed in
+  // (pos, word) order. The lazy per-round refreshes below stay sequential
+  // — each pop depends on the previous one's result.
   std::vector<SwapCandidate> initial;
   for (std::size_t pos = 0; pos < n; ++pos) {
     for (WordId cand : candidates.per_position[pos]) {
@@ -49,24 +42,12 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
       initial.push_back({pos, cand});
     }
   }
-  Matrix scores;
-  for (std::size_t off = 0;
-       off < initial.size() && !out_of_time && !out_of_budget;
-       off += kScoreChunkRows) {
-    const std::size_t len = std::min(kScoreChunkRows, initial.size() - off);
-    const BatchStatus status =
-        evaluator->eval_swap_batch(initial.data() + off, len, scores);
-    for (std::size_t i = 0; i < status.evaluated; ++i) {
-      const double gain = scores(i, target) - current;
-      heap.push({gain, initial[off + i].pos, initial[off + i].word, 0});
-    }
-    out_of_time = status.out_of_time;
-    out_of_budget = status.out_of_budget;
-  }
+  shell.score(initial, [&](std::size_t i, const float* proba) {
+    heap.push({proba[target] - current, initial[i].pos, initial[i].word, 0});
+  });
 
   std::size_t round = 0;
-  while (!out_of_time && !out_of_budget &&
-         current < config.success_threshold &&
+  while (!shell.limit_hit() && current < config.success_threshold &&
          count_changes(tokens, result.adv_tokens) < budget && !heap.empty()) {
     ++round;
     ++result.iterations;
@@ -86,9 +67,9 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
       }
       // A limit hit abandons the round before the refresh query, keeping
       // the last committed document.
-      if ((out_of_time = control.deadline.expired())) break;
-      if ((out_of_budget = control.budget_exhausted())) break;
-      top.gain = evaluator->eval_swap(top.pos, top.word)[target] - current;
+      if (shell.poll()) break;
+      top.gain =
+          shell.evaluator().eval_swap(top.pos, top.word)[target] - current;
       top.round = round;
       if (heap.empty() || top.gain >= heap.top().gain) {
         if (top.gain > config.min_gain) {
@@ -102,32 +83,15 @@ WordAttackResult lazy_greedy_attack(const TextClassifier& model,
     if (!found) break;
     result.adv_tokens[chosen.pos] = chosen.word;
     replaced[chosen.pos] = true;
-    evaluator->rebase(result.adv_tokens);
-    current = evaluator->eval_tokens(result.adv_tokens)[target];
+    shell.evaluator().rebase(result.adv_tokens);
+    current = shell.evaluator().eval_tokens(result.adv_tokens)[target];
   }
 
-  if (out_of_time) {
-    result.termination = TerminationReason::kDeadlineExceeded;
-  } else if (out_of_budget) {
-    result.termination = TerminationReason::kBudgetExhausted;
-  }
-  result.queries = evaluator->queries();
-  result.cache_hits = evaluator->cache_hits();
-  result.cache_misses = evaluator->cache_misses();
-  result.budget_charged = evaluator->budget_charged();
-  ADVTEXT_DCHECK(result.queries == result.cache_hits + result.cache_misses)
-      << "lazy_greedy: query accounting drift (" << result.queries
-      << " != " << result.cache_hits << " + " << result.cache_misses << ")";
   result.final_target_proba =
       model.class_probability(result.adv_tokens, target);
-  control.charge(1);
-  // The initial anchor and final verification forwards charge the budget
-  // directly (charge() no-ops without one, so mirror that here).
-  if (control.budget != nullptr) result.budget_charged += 2;
-  result.success = result.final_target_proba >= config.success_threshold;
-  if (result.success) result.termination = TerminationReason::kSucceeded;
+  shell.charge_direct(1);
   result.words_changed = count_changes(tokens, result.adv_tokens);
-  result.seconds = watch.elapsed_seconds();
+  shell.finish(result, config.success_threshold);
   return result;
 }
 

@@ -6,11 +6,15 @@ namespace advtext {
 
 namespace {
 
-/// Fallback evaluator: one full forward pass per candidate.
+/// Fallback evaluator: one full forward pass per candidate. It wraps
+/// models whose determinism it cannot know (randomized smoothing draws per
+/// forward), so it never caches: memoizing a random draw would make cache
+/// on differ from cache off.
 class FullForwardEvaluator : public SwapEvaluator {
  public:
   FullForwardEvaluator(const TextClassifier& model, const TokenSeq& base)
       : model_(model) {
+    cacheable_ = false;
     rebase(base);
   }
 

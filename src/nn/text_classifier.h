@@ -235,8 +235,10 @@ class TextClassifier {
                                 Vector* proba = nullptr) const = 0;
 
   /// Creates a swap evaluator seeded with the given base document. The
-  /// default implementation performs a full forward per evaluation;
-  /// concrete models override with cached incremental versions.
+  /// default implementation performs a full forward per evaluation and
+  /// bypasses the query cache (it cannot know whether the forward is
+  /// deterministic); concrete models override with cached incremental
+  /// versions.
   virtual std::unique_ptr<SwapEvaluator> make_swap_evaluator(
       const TokenSeq& base) const;
 };

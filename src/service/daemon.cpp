@@ -264,6 +264,7 @@ void AttackDaemon::handle_connection(Connection conn) {
       queue_.push_back(std::move(job));
       queue_cv_.notify_one();
     }
+    // ADVTEXT_ALLOW(severity-drop): malformed request bytes — no job exists yet, so there is no job severity to fold; the peer gets a typed kMalformed rejection and the drop is counted in rejected_malformed
   } catch (const ProtocolError& error) {
     // Bad bytes kill the conversation, never the daemon. Typed reply is
     // best-effort: the peer may already be gone.

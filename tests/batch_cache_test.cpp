@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/data/synthetic.h"
+#include "src/eval/defenses.h"
 #include "src/eval/pipeline.h"
 #include "src/nn/bow_classifier.h"
 #include "src/nn/gru.h"
@@ -496,6 +497,25 @@ TEST_F(BatchCachePipelineFixture, CacheOnOffSweepsAreBitwiseIdentical) {
   EXPECT_EQ(cached.queries_saved, cached.cache_hits);
   EXPECT_EQ(cached.cache_hits + cached.cache_misses,
             uncached.cache_misses);
+
+  // A stochastic wrapper scored by the default evaluator: its random draws
+  // must never be memoized, so cache on still equals cache off. Each run
+  // gets a fresh, equally seeded wrapper.
+  std::vector<std::vector<WordId>> neighbors(
+      static_cast<std::size_t>(task_->vocab.size()));
+  for (WordId w = 2; w < task_->vocab.size(); ++w) {
+    neighbors[static_cast<std::size_t>(w)] =
+        context_->word_index().neighbors(w);
+  }
+  const auto smoothed_run = [&](std::size_t cache_bytes) {
+    const SynonymSmoothing smoothed(*model_, neighbors);
+    return evaluate_attack(smoothed, *task_, *context_,
+                           sweep_config(6, cache_bytes));
+  };
+  const AttackEvalResult smoothed_uncached = smoothed_run(0);
+  const AttackEvalResult smoothed_cached = smoothed_run(32u << 20);
+  expect_equal_modulo_cache(smoothed_uncached, smoothed_cached);
+  EXPECT_EQ(smoothed_cached.cache_hits, 0u);
 }
 
 // Query accounting closes for every word method: each per-document record

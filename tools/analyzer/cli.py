@@ -42,6 +42,20 @@ def collect_files(args: list[str]) -> list[Path]:
     return files
 
 
+def scope(paths: list[str]) -> tuple[list[Path], set[str] | None]:
+    """The files to analyze and the repo-relative files to report on (None:
+    all). Named paths take the ``--changed`` route: the whole tree is
+    analyzed and findings are filtered to the named files, so one file and
+    the whole tree give one verdict."""
+    files = collect_files([])
+    if not paths:
+        return files, None
+    named = collect_files(paths)
+    known = set(files)
+    files += [p for p in named if p not in known]
+    return files, {rel_path(p) for p in named}
+
+
 def changed_files(base_ref: str) -> set[str]:
     """Repo-relative source files changed vs ``base_ref`` plus untracked
     ones, filtered to the linted dirs. Used by ``--changed``: findings are
@@ -62,14 +76,18 @@ def changed_files(base_ref: str) -> set[str]:
             if n.endswith(SOURCE_SUFFIXES) and n.startswith(prefixes)}
 
 
+def rel_path(path: Path) -> str:
+    try:
+        return path.relative_to(REPO_ROOT).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
 def load_project(paths: list[Path]) -> Project:
     files: dict[str, str] = {}
     for path in paths:
-        try:
-            rel = path.relative_to(REPO_ROOT).as_posix()
-        except ValueError:
-            rel = path.as_posix()
-        files[rel] = path.read_text(encoding="utf-8", errors="replace")
+        files[rel_path(path)] = path.read_text(encoding="utf-8",
+                                               errors="replace")
     return Project(files, file_exists=lambda r: (REPO_ROOT / r).is_file())
 
 
@@ -159,7 +177,8 @@ def main(argv: list[str]) -> int:
     # the clean twin, so rule coverage cannot silently regress.
     if not skip_self_test:
         from .selftest import run_self_test
-        failures = run_self_test(verbose=run_self_test_only)
+        failures = run_self_test(verbose=run_self_test_only,
+                                 tree=run_self_test_only)
         if failures:
             for failure in failures:
                 print(failure)
@@ -190,7 +209,9 @@ def main(argv: list[str]) -> int:
             return 0
 
     try:
-        files = collect_files(paths)
+        files, named = scope(paths)
+        if named is not None:
+            restrict = named
     except FileNotFoundError as err:
         print(err, file=sys.stderr)
         return 2

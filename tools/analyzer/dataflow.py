@@ -12,7 +12,9 @@ rules:
     that charges the ``QueryBudget`` (``charge(``/``charge_up_to(``),
     checks a cache hit, or binds an ``AttackControl`` to the evaluator
     shell (``bind_control(`` — the shell then charges every cache miss
-    itself, which is the one charge point of the batched scoring path).
+    itself, which is the one charge point of the batched scoring path;
+    making a ``SearchShell`` over a model binds, and its
+    ``charge_direct(``/``count_direct(`` charge).
     Domination is at *function granularity*: a function that charges
     anywhere discharges the sinks it dominates — a deliberate
     approximation (branch-level domination would need real dataflow).
@@ -43,8 +45,10 @@ rules:
     ``Outcome``, ``Failure``, ``worst_job``) — or whose handler records an
     error counter — must fold the failure into the severity lattice:
     ``worse_of(...)``, ``kError``, ``Outcome::error``, a ``Failure{...}``,
-    or a call to a helper that transitively does. Otherwise an injected
-    fault degrades into a log line and vanishes from the run's verdict.
+    or a call to a helper that transitively folds. A helper's own
+    ``throw`` does not count: raising a new exception does not carry the
+    failure the catch absorbed. Otherwise an injected fault degrades into
+    a log line and vanishes from the run's verdict.
 """
 
 from __future__ import annotations
@@ -69,9 +73,14 @@ _RE_FORWARD_SITE = re.compile(
 #: bind_control counts as a charge site: once an AttackControl is bound to
 #: the SwapEvaluator shell, the shell itself charges the budget on every
 #: cache miss (the single charge point of the batched scoring path), so
-#: the binding function discharges the queries it dominates.
+#: the binding function discharges the queries it dominates. The search
+#: shell's vocabulary counts the same way: a SearchShell made over a model
+#: (``SearchShell shell(model, base, control)``) binds its evaluator on
+#: construction, and ``charge_direct(``/``count_direct(`` charge the
+#: forwards made outside it.
 _RE_CHARGE = re.compile(
-    r"\bcharge(?:_up_to)?\s*\(|\bcache_hit\b|\bbind_control\s*\(")
+    r"\bcharge(?:_up_to|_direct)?\s*\(|\bcount_direct\s*\(|\bcache_hit\b"
+    r"|\bbind_control\s*\(|\bSearchShell\s+\w+\s*\(\s*\w+\s*,")
 
 _RE_HEAVY_DIRECT = re.compile(
     r"(?:\.|->)\s*(?:%s)\s*\(" % "|".join(FORWARD_FAMILY)
@@ -89,6 +98,13 @@ _RE_SEVERITY_CTX = re.compile(
 _RE_SEV_FOLD = re.compile(
     r"\bworse_of\s*\(|\bkError\b|\bkStopped\b|::\s*error\s*\("
     r"|\bFailure\s*\{|\bthrow\b|\brethrow_exception\b|\bcurrent_exception\b")
+#: What a *called helper* must do to fold the caught failure for its
+#: caller: the catch-body forms minus a bare ``throw``. A helper that
+#: raises a new exception of its own (a transport write failing, an
+#: injected fault) does not carry the failure the catch absorbed.
+_RE_SEV_FOLD_CALLEE = re.compile(
+    r"\bworse_of\s*\(|\bkError\b|\bkStopped\b|::\s*error\s*\("
+    r"|\bFailure\s*\{|\brethrow_exception\b|\bcurrent_exception\b")
 _RE_ERR_COUNTER = re.compile(r"\w*errored\b")
 
 #: The locking primitives themselves are not subject to lock-order edges.
@@ -408,7 +424,7 @@ def check_lock_order(model: SemanticModel) -> list[Finding]:
 def check_severity_drop(model: SemanticModel) -> list[Finding]:
     findings: list[Finding] = []
     fold_reach = model.graph.functions_reaching(
-        lambda f: bool(_RE_SEV_FOLD.search(f.body)))
+        lambda f: bool(_RE_SEV_FOLD_CALLEE.search(f.body)))
     for fn in model.index.functions:
         if not fn.file.startswith("src/"):
             continue

@@ -189,6 +189,7 @@ class Project:
         self.files = files
         self._extra_exists = file_exists
         self.rules = rules
+        self._project_findings: tuple[list[Finding], dict] | None = None
         self.contexts: list[FileContext] = []
         for rel in sorted(files):
             self.contexts.append(FileContext(
@@ -203,14 +204,17 @@ class Project:
         return False
 
     def analyze(self, restrict: set[str] | None = None) -> AnalysisResult:
-        """Full analysis, or — with ``restrict`` — the ``--changed`` fast
-        path: file rules run only on the restricted files and findings are
-        filtered to them, but suppression parsing and the semantic model
-        (symbol index, call graph) still cover the whole file set, so
-        interprocedural facts stay repo-wide."""
+        """Full analysis, or — with ``restrict`` — the same analysis with
+        findings filtered to the restricted files. File rules run only on
+        those files; suppression parsing and the semantic model (symbol
+        index, call graph) always cover the whole file set, so a file gets
+        the same verdict whether it is named alone or seen with the tree.
+        The project-rule findings do not depend on ``restrict`` and are
+        computed once per Project."""
         import time
 
-        result = AnalysisResult(files_analyzed=len(self.contexts))
+        result = AnalysisResult(files_analyzed=len(self.contexts)
+                                if restrict is None else len(restrict))
         known = set(self.rules.RULES)
         all_findings: list[Finding] = []
         all_suppressions: list[Suppression] = []
@@ -225,16 +229,11 @@ class Project:
                 all_findings.extend(rule.check(ctx))
         result.timings["file-rules"] = time.monotonic() - t0
 
-        model = None
-        if any(r.semantic for r in self.rules.PROJECT_RULES):
-            from . import dataflow  # late: dataflow imports engine types
-
-            model = dataflow.SemanticModel(self.contexts)
-            result.timings.update(model.timings)
-        for rule in self.rules.PROJECT_RULES:
-            t0 = time.monotonic()
-            all_findings.extend(rule.check_project(self.contexts, model))
-            result.timings[rule.id] = time.monotonic() - t0
+        if self._project_findings is None:
+            self._project_findings = self._run_project_rules()
+        findings, timings = self._project_findings
+        all_findings.extend(findings)
+        result.timings.update(timings)
 
         if restrict is not None:
             all_findings = [f for f in all_findings if f.file in restrict]
@@ -242,3 +241,20 @@ class Project:
         result.findings, result.suppressed = apply_suppressions(
             all_findings, all_suppressions)
         return result
+
+    def _run_project_rules(self) -> tuple[list[Finding], dict]:
+        import time
+
+        timings: dict[str, float] = {}
+        model = None
+        if any(r.semantic for r in self.rules.PROJECT_RULES):
+            from . import dataflow  # late: dataflow imports engine types
+
+            model = dataflow.SemanticModel(self.contexts)
+            timings.update(model.timings)
+        findings: list[Finding] = []
+        for rule in self.rules.PROJECT_RULES:
+            t0 = time.monotonic()
+            findings.extend(rule.check_project(self.contexts, model))
+            timings[rule.id] = time.monotonic() - t0
+        return findings, timings

@@ -227,9 +227,45 @@ def _golden_regressions() -> list[str]:
     return failures
 
 
-def run_self_test(verbose: bool = False) -> list[str]:
+def _scope_regressions() -> list[str]:
+    """One file and the whole tree give one verdict: for every file under
+    src/, the findings of a run restricted to that file (what
+    ``tools/lint.py <file>`` prints) equal the whole-tree findings for it."""
+    from .cli import collect_files, load_project, rel_path, scope
+
+    failures: list[str] = []
+    tree = collect_files([])
+    project = load_project(tree)
+    whole = project.analyze()
+
+    def key(f) -> tuple:
+        return (f.file, f.line, f.rule, f.message)
+
+    for path in collect_files([str(REPO_ROOT / "src")]):
+        rel = rel_path(path)
+        files, restrict = scope([str(path)])
+        if files != tree or restrict != {rel}:
+            failures.append(
+                f"self-test[scope]: {rel}: a run on the file alone does not "
+                "analyze it with the whole tree")
+            continue
+        alone = project.analyze(restrict=restrict)
+        want = sorted(key(f) for f in whole.findings if f.file == rel)
+        got = sorted(key(f) for f in alone.findings)
+        if got != want:
+            failures.append(
+                f"self-test[scope]: {rel}: a run on the file alone reports "
+                f"{len(got)} finding(s), the whole-tree run {len(want)}")
+    return failures
+
+
+def run_self_test(verbose: bool = False, tree: bool = False) -> list[str]:
+    """``tree`` adds the scope check over the real source tree (the
+    ``--self-test`` run); the fixture corpus alone guards every lint run."""
     failures = _lexer_regressions()
     failures.extend(_golden_regressions())
+    if tree:
+        failures.extend(_scope_regressions())
 
     fixtures = []
     for path in sorted(TESTDATA.rglob("*")):
